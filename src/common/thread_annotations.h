@@ -93,6 +93,9 @@ namespace xrefine {
 // renumbering. Equal ranks can never nest (the check is strict), which also
 // enforces "never two pager shard latches at once".
 enum LockRank : int {
+  // IndexSource::vocab_snapshot_mu_: held while the vocabulary is
+  // enumerated, which on a lazily opened store reads the B+-tree.
+  kLockRankVocabSnapshot = 5,
   kLockRankBTree = 10,           // BTree::mu_ (tree-wide reader/writer latch)
   kLockRankPagerShard = 20,      // Pager::Shard::mu (8 stripes, one rank)
   kLockRankPagerIo = 30,         // Pager::io_mu_

@@ -1,55 +1,30 @@
 #include "core/partition_refine.h"
 
-#include <algorithm>
-#include <limits>
-#include <map>
-#include <set>
+#include <iterator>
 
+#include "common/logging.h"
 #include "core/rq_sorted_list.h"
 
 namespace xrefine::core {
-
-namespace {
-
-// First index in [from, list.size) whose dewey is >= bound.
-size_t LowerBoundFrom(const slca::PostingSpan& list, size_t from,
-                      const xml::DeweyRef& bound) {
-  size_t lo = from;
-  size_t hi = list.size;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (list.label(mid) < bound) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// The exclusive upper bound label of the partition containing `v`: the
-// partition prefix with its last component incremented.
-xml::Dewey PartitionUpperBound(const xml::Dewey& prefix) {
-  std::vector<uint32_t> c = prefix.components();
-  c.back() += 1;
-  return xml::Dewey(std::move(c));
-}
-
-}  // namespace
 
 RefineOutcome PartitionRefine(const index::IndexSource& corpus,
                               const RefineInput& input,
                               const PartitionRefineOptions& options) {
   RefineStats stats;
+  if (Status s = RefinableStatus(input); !s.ok()) return FailedOutcome(s);
   const size_t m = input.lists.size();
   const size_t candidate_budget = 2 * options.top_k;
   RqSortedList rq_list(candidate_budget);
 
   // Advantage (3) of the paper: partitions witnessing the same keyword set
   // share one getTopOptimalRQ evaluation.
-  std::map<std::set<std::string>, std::vector<RefinedQuery>> dp_cache;
+  DpMemo dp(input, candidate_budget);
 
+  // One forward cursor per list; the scratch spans are reused by every
+  // partition, so the loop below allocates only for SLCA results.
   std::vector<size_t> cursors(m, 0);
+  std::vector<slca::PostingSpan> partition_spans(m);
+  std::vector<slca::PostingSpan> rq_spans;
   while (true) {
     // Deadline/cancel poll at partition granularity: one clock read per
     // partition, never mid-SLCA.
@@ -71,72 +46,59 @@ RefineOutcome PartitionRefine(const index::IndexSource& corpus,
 
     // Document partition of v (Definition 6.1): the subtree under the
     // root's child, i.e. the depth-2 prefix (the root label itself when v
-    // is the root).
-    xml::Dewey prefix = v.Prefix(std::min<size_t>(2, v.depth()));
-    xml::Dewey upper = PartitionUpperBound(prefix);
+    // is the root). Every cursor already sits at or past v, the smallest
+    // head, so the partition runs from each cursor to this bound.
+    uint32_t bound[2];
+    const xml::DeweyRef upper = PartitionEnd(v, bound);
     ++stats.partitions_visited;
 
     // Restrict every list to this partition and advance the cursors past
-    // it (lines 7-8; the one-time scan).
-    std::vector<slca::PostingSpan> partition_spans(m);
-    KeywordSet witnessed;
+    // it (lines 7-8; the one-time scan). Galloping from the cursor costs
+    // O(log n) in the partition's postings, not in the whole list.
+    KeywordMask witnessed = 0;
     for (size_t i = 0; i < m; ++i) {
-      size_t begin = cursors[i];
-      // Skip any postings before the partition (possible when this list
-      // had nothing in earlier partitions).
-      begin = LowerBoundFrom(input.lists[i], begin, xml::DeweyRef(prefix));
-      size_t end = LowerBoundFrom(input.lists[i], begin, xml::DeweyRef(upper));
-      partition_spans[i] = input.lists[i].Sub(begin, end - begin);
+      const slca::PostingSpan& list = input.lists[i];
+      const size_t begin = cursors[i];
+      XR_DCHECK(begin == 0 || list.label(begin - 1) < upper);
+      const size_t end = slca::GallopLowerBound(list, begin, upper);
+      partition_spans[i] = list.Sub(begin, end - begin);
       cursors[i] = end;
-      if (!partition_spans[i].empty()) witnessed.insert(input.keywords[i]);
+      if (end > begin) witnessed |= KeywordBit(i);
     }
-    if (witnessed.empty()) continue;
+    XR_DCHECK(witnessed & KeywordBit(static_cast<size_t>(smallest)));
 
     // Top-2K candidate refinements for this partition (line 10), computed
     // once per distinct witnessed keyword set.
-    std::set<std::string> cache_key(witnessed.begin(), witnessed.end());
-    auto cached = dp_cache.find(cache_key);
-    if (cached == dp_cache.end()) {
-      ++stats.dp_calls;
-      cached = dp_cache
-                   .emplace(std::move(cache_key),
-                            GetTopOptimalRqs(input.q, witnessed, input.rules,
-                                             candidate_budget))
-                   .first;
-    }
-    const std::vector<RefinedQuery>& candidates = cached->second;
+    const std::vector<KeyedRq>& candidates = dp.TopRqs(witnessed, &stats);
 
-    for (const RefinedQuery& rq : candidates) {
+    size_t pruned = 0;
+    for (const KeyedRq& c : candidates) {
       ++stats.candidates_enumerated;
-      bool known = rq_list.Contains(rq.keywords);
-      if (options.prune_partitions && !known &&
-          !rq_list.CanAccept(rq.dissimilarity)) {
-        ++stats.partitions_pruned;
+      if (options.prune_partitions && !rq_list.Contains(c.mask) &&
+          !rq_list.CanAccept(c.rq.dissimilarity)) {
+        ++pruned;
         ++stats.candidates_pruned;
         continue;  // cannot enter the top-2K: skip its SLCA work
       }
       // SLCA of RQ within this partition (line 16), with any baseline.
-      std::vector<slca::PostingSpan> rq_spans;
-      rq_spans.reserve(rq.keywords.size());
-      bool all_present = true;
-      for (const std::string& k : rq.keywords) {
-        auto it = input.keyword_index.find(k);
-        if (it == input.keyword_index.end()) {
-          all_present = false;
-          break;
-        }
-        rq_spans.push_back(partition_spans[it->second]);
+      rq_spans.clear();
+      for (uint32_t id : c.ids) {
+        XR_DCHECK(witnessed & KeywordBit(id));
+        rq_spans.push_back(partition_spans[id]);
       }
-      if (!all_present) continue;
       ++stats.slca_calls;
-      std::vector<slca::SlcaResult> results = slca::ComputeSlca(
-          rq_spans, corpus.types(), options.slca_algorithm);
-      results = slca::FilterMeaningful(std::move(results), input.search_for,
-                                       corpus.types());
+      std::vector<slca::SlcaResult> results = slca::FilterMeaningful(
+          slca::ComputeSlca(rq_spans, corpus.types(), options.slca_algorithm),
+          input.search_for, corpus.types());
       if (results.empty()) continue;  // no meaningful match here
-      if (rq_list.InsertOrFind(rq) != nullptr) {
-        rq_list.AppendResults(rq.keywords, results);
+      if (RqSortedList::Entry* entry = rq_list.InsertOrFind(c.mask, c.rq)) {
+        entry->results.insert(entry->results.end(),
+                              std::make_move_iterator(results.begin()),
+                              std::make_move_iterator(results.end()));
       }
+    }
+    if (!candidates.empty() && pruned == candidates.size()) {
+      ++stats.partitions_pruned;
     }
   }
 

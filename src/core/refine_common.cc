@@ -1,19 +1,70 @@
 #include "core/refine_common.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "core/result_ranking.h"
 #include "slca/return_node.h"
 
 namespace xrefine::core {
 
-RefineOutcome StoppedOutcome(const RefineStats& stats) {
+RefineOutcome FailedOutcome(Status status, const RefineStats& stats) {
   RefineOutcome out;
   out.stats = stats;
-  out.status =
-      Status::DeadlineExceeded("query stopped: deadline passed or cancelled");
+  out.status = std::move(status);
   return out;
+}
+
+RefineOutcome StoppedOutcome(const RefineStats& stats) {
+  return FailedOutcome(
+      Status::DeadlineExceeded("query stopped: deadline passed or cancelled"),
+      stats);
+}
+
+KeywordSet RefineInput::SetOf(KeywordMask mask) const {
+  KeywordSet t;
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    if (mask & KeywordBit(i)) t.insert(keywords[i]);
+  }
+  return t;
+}
+
+Status RefinableStatus(const RefineInput& input) {
+  if (!input.status.ok()) return input.status;
+  if (input.keywords.size() > kMaxRefineKeywords) {
+    return Status::InvalidArgument(
+        "keyword universe of " + std::to_string(input.keywords.size()) +
+        " keywords exceeds the " + std::to_string(kMaxRefineKeywords) +
+        "-keyword limit");
+  }
+  return Status::OK();
+}
+
+const std::vector<KeyedRq>& DpMemo::TopRqs(KeywordMask witnessed,
+                                           RefineStats* stats) {
+  auto [it, miss] = memo_.try_emplace(witnessed);
+  if (!miss) return it->second;
+  ++stats->dp_calls;
+  for (RefinedQuery& rq : GetTopOptimalRqs(
+           input_.q, input_.SetOf(witnessed), input_.rules, k_)) {
+    KeyedRq keyed;
+    keyed.ids.reserve(rq.keywords.size());
+    for (const std::string& k : rq.keywords) {
+      // RQ ⊆ T ⊆ KS (Lemma 2): every RQ keyword has an id.
+      auto id = input_.keyword_index.find(k);
+      XR_CHECK(id != input_.keyword_index.end());
+      keyed.mask |= KeywordBit(id->second);
+      keyed.ids.push_back(static_cast<uint32_t>(id->second));
+    }
+    XR_DCHECK((keyed.mask & ~witnessed) == 0);
+    XR_DCHECK(static_cast<size_t>(std::popcount(keyed.mask)) ==
+              keyed.ids.size());
+    keyed.rq = std::move(rq);
+    it->second.push_back(std::move(keyed));
+  }
+  return it->second;
 }
 
 RefineInput PrepareRefineInput(const index::IndexSource& corpus,
@@ -50,7 +101,6 @@ RefineInput PrepareRefineInput(const index::IndexSource& corpus,
     input.keywords.push_back(k);
     input.lists.emplace_back(*handle);
     input.pins.push_back(std::move(handle));
-    input.universe.insert(k);
   }
 
   input.search_for = slca::InferSearchForNodes(q, corpus.stats(),
@@ -63,6 +113,7 @@ RefineInput PrepareRefineInput(const index::IndexSource& corpus,
     input.search_for = slca::InferSearchForNodes(
         input.keywords, corpus.stats(), corpus.types(), sfn_options);
   }
+  input.status = RefinableStatus(input);
   return input;
 }
 

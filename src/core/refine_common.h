@@ -64,8 +64,8 @@ struct RefineInput {
   /// candidate-RQ SLCA calls below only re-slice these spans.
   std::vector<index::PostingListHandle> pins;
 
-  /// keyword -> position in `keywords`/`lists`, so assembling a candidate
-  /// RQ's span set is O(1) per keyword instead of a linear scan of KS.
+  /// keyword -> its id, the position in `keywords`/`lists` and its bit in
+  /// a KeywordMask. Its keys are KS itself.
   std::unordered_map<std::string, size_t> keyword_index;
 
   /// Arena lookup: the span for `k`, or nullptr when `k` has no list.
@@ -73,9 +73,6 @@ struct RefineInput {
     auto it = keyword_index.find(k);
     return it == keyword_index.end() ? nullptr : &lists[it->second];
   }
-
-  /// Witnessed keyword universe (== `keywords` as a set).
-  KeywordSet universe;
 
   /// Search-for-node candidates L inferred from Q (Formula 1).
   std::vector<slca::TypeConfidence> search_for;
@@ -91,22 +88,38 @@ struct RefineInput {
 
   /// True when the deadline passed or the cancel flag is set.
   bool Stopped() const { return control != nullptr && control->ShouldStop(); }
+
+  /// The keywords of `mask` as a set, for the getOptimalRQ DP.
+  KeywordSet SetOf(KeywordMask mask) const;
 };
+
+/// The mask bit of keyword id `i` (its position in RefineInput::keywords).
+inline KeywordMask KeywordBit(size_t i) { return KeywordMask{1} << i; }
 
 /// Builds the per-query state: generates rules, assembles KS = Q +
 /// getNewKeywords(R), resolves inverted lists, infers L. A store fetch
-/// failure is reported in the returned input's `status`.
+/// failure, or a keyword universe wider than kMaxRefineKeywords, is
+/// reported in the returned input's `status`.
 RefineInput PrepareRefineInput(const index::IndexSource& corpus,
                                const Query& q, const RuleGenerator& rules,
                                const slca::SearchForNodeOptions& sfn_options);
 
+/// OK iff `input` can be refined: every list resolved (its own `status`)
+/// and its keyword universe fits a KeywordMask. All three algorithms refuse
+/// any other input with this status.
+Status RefinableStatus(const RefineInput& input);
+
 /// Instrumentation counters surfaced by the benchmark harnesses.
 struct RefineStats {
   size_t partitions_visited = 0;
-  size_t partitions_pruned = 0;  // partitions whose SLCA work was skipped
+  /// Partitions where every candidate RQ was pruned before SLCA work
+  /// (Partition), so at most partitions_visited.
+  size_t partitions_pruned = 0;
   size_t slca_calls = 0;
+  /// getOptimalRQ DP evaluations actually run (memo misses), in all three
+  /// algorithms.
   size_t dp_calls = 0;
-  size_t random_accesses = 0;  // binary searches into other lists (SLE)
+  size_t random_accesses = 0;  // per-partition probes into each list (SLE)
   size_t nodes_popped = 0;     // stack-refine entry pops
   size_t candidates_enumerated = 0;  // candidate RQs considered
   size_t candidates_pruned = 0;      // candidate RQs skipped before SLCA work
@@ -135,6 +148,55 @@ struct RefineOutcome {
 /// half-scanned corpus would silently change conjunctive answers, the same
 /// honesty rule RunPrepared applies to partially resolved inputs.
 RefineOutcome StoppedOutcome(const RefineStats& stats);
+
+/// An outcome carrying only a non-OK `status` (and the stats so far).
+RefineOutcome FailedOutcome(Status status, const RefineStats& stats = {});
+
+/// A candidate refined query resolved against one RefineInput: its keyword
+/// set as a mask and its keyword ids in `rq.keywords` order (the order its
+/// SLCA spans are assembled in).
+struct KeyedRq {
+  RefinedQuery rq;
+  KeywordMask mask = 0;
+  std::vector<uint32_t> ids;
+};
+
+/// Per-query memo of the getOptimalRQ DP (getTopOptimalRQ with `k`),
+/// keyed on the witnessed keyword mask T. Partitions and stack entries
+/// witnessing the same T share one evaluation — advantage (3) of the
+/// paper — and each candidate's mask and ids are resolved once, on the
+/// miss.
+class DpMemo {
+ public:
+  DpMemo(const RefineInput& input, size_t k) : input_(input), k_(k) {}
+
+  /// The top-k RQs ⊆ `witnessed` by ascending dissimilarity; counts a
+  /// miss in `stats->dp_calls`. The reference stays valid for the memo's
+  /// lifetime.
+  const std::vector<KeyedRq>& TopRqs(KeywordMask witnessed,
+                                     RefineStats* stats);
+
+ private:
+  const RefineInput& input_;
+  size_t k_;
+  std::unordered_map<KeywordMask, std::vector<KeyedRq>> memo_;
+};
+
+/// The exclusive upper bound of the document partition (Definition 6.1,
+/// the subtree under a child of the root) that holds `v`: v's depth-2
+/// prefix with its last component incremented, written into `buf` with no
+/// allocation. An empty label (only a corrupt store holds one) gets the
+/// bound {0}, which keeps it in a partition of its own.
+inline xml::DeweyRef PartitionEnd(const xml::DeweyRef& v, uint32_t (&buf)[2]) {
+  if (v.empty()) {
+    buf[0] = 0;
+    return xml::DeweyRef(buf, 1);
+  }
+  const uint32_t depth = v.len < 2 ? v.len : 2;
+  for (uint32_t d = 0; d < depth; ++d) buf[d] = v[d];
+  buf[depth - 1] += 1;
+  return xml::DeweyRef(buf, depth);
+}
 
 /// Ranks the (rq, results) candidates with the full model (Formula 10),
 /// sorts descending by rank and keeps `top_k`. Detects the original query

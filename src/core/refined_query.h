@@ -2,6 +2,8 @@
 #ifndef XREFINE_CORE_REFINED_QUERY_H_
 #define XREFINE_CORE_REFINED_QUERY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,15 @@ namespace xrefine::core {
 /// A keyword query: an ordered list of terms (order matters for merging and
 /// split rules; SLCA semantics are order-insensitive).
 using Query = std::vector<std::string>;
+
+/// A keyword set as a bitmask over one query's keyword universe: bit i
+/// stands for keyword i of RefineInput::keywords. The three refinement
+/// algorithms key witnessed sets and refined queries on masks, so their
+/// scan loops compare and hash integers instead of strings.
+using KeywordMask = uint64_t;
+
+/// The mask width, and so the largest keyword universe a query may have.
+inline constexpr size_t kMaxRefineKeywords = 64;
 
 /// Renders {a, b, c}.
 std::string QueryToString(const Query& q);

@@ -1,12 +1,14 @@
 // RQSortedList (Section VI-B): the bounded candidate list the Partition and
 // SLE algorithms maintain while scanning — up to `capacity` refined queries
-// ordered by dissimilarity, with O(1) membership via a hash on the keyword
-// set and accumulation of per-partition SLCA results.
+// ordered by dissimilarity, with accumulation of per-partition SLCA results.
+// Entries are keyed on the refined query's KeywordMask (its keyword set as
+// a bitmask over the query's keyword universe): membership is an integer
+// compare against at most `capacity` (= 2K) entries, with no string keys.
+// An evicted keyword set leaves no trace, so re-offering it later is a
+// fresh insertion.
 #ifndef XREFINE_CORE_RQ_SORTED_LIST_H_
 #define XREFINE_CORE_RQ_SORTED_LIST_H_
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/refined_query.h"
@@ -16,6 +18,7 @@ namespace xrefine::core {
 class RqSortedList {
  public:
   struct Entry {
+    KeywordMask mask = 0;  // rq.keywords as a mask; the entry's identity
     RefinedQuery rq;
     std::vector<slca::SlcaResult> results;
   };
@@ -34,26 +37,21 @@ class RqSortedList {
   /// is in) the list.
   bool CanAccept(double dissimilarity) const;
 
-  bool Contains(const Query& keywords) const;
+  bool Contains(KeywordMask mask) const;
 
-  /// Inserts (or finds) the entry for `rq`; evicts the worst when over
-  /// capacity. Returns nullptr iff the candidate was rejected.
-  Entry* InsertOrFind(const RefinedQuery& rq);
-
-  /// Appends SLCA results to an existing entry (no-op when absent).
-  void AppendResults(const Query& keywords,
-                     const std::vector<slca::SlcaResult>& results);
+  /// Finds the entry keyed on `mask`, or inserts `rq` under it (evicting
+  /// the worst entry when over capacity). Returns the entry SLCA results
+  /// are appended to, or nullptr iff the candidate was rejected or evicted
+  /// at once. A found entry keeps its first RefinedQuery.
+  Entry* InsertOrFind(KeywordMask mask, const RefinedQuery& rq);
 
   /// Entries by ascending dissimilarity.
   const std::vector<Entry>& entries() const { return entries_; }
   std::vector<Entry>& mutable_entries() { return entries_; }
 
  private:
-  size_t IndexOf(const std::string& key) const;
-
   size_t capacity_;
   std::vector<Entry> entries_;  // kept sorted by rq.dissimilarity
-  std::unordered_map<std::string, bool> member_;  // QueryKey set
 };
 
 }  // namespace xrefine::core

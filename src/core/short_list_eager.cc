@@ -1,45 +1,25 @@
 #include "core/short_list_eager.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <set>
 #include <unordered_set>
 
+#include "common/logging.h"
 #include "core/rq_sorted_list.h"
 
 namespace xrefine::core {
-
-namespace {
-
-size_t LowerBoundFrom(const slca::PostingSpan& list, size_t from,
-                      const xml::DeweyRef& bound) {
-  size_t lo = from;
-  size_t hi = list.size;
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (list.label(mid) < bound) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-xml::Dewey PartitionUpperBound(const xml::Dewey& prefix) {
-  std::vector<uint32_t> c = prefix.components();
-  c.back() += 1;
-  return xml::Dewey(std::move(c));
-}
-
-}  // namespace
 
 RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
                                    const RefineInput& input,
                                    const SleOptions& options) {
   RefineStats stats;
+  if (Status s = RefinableStatus(input); !s.ok()) return FailedOutcome(s);
   const size_t m = input.lists.size();
   const size_t candidate_budget = 2 * options.top_k;
   RqSortedList rq_list(candidate_budget);
+  DpMemo dp(input, candidate_budget);
 
   // Keywords ordered by ascending list length (shortest first). Keywords
   // that appear on rule RHSs or that need no refinement are preferred on
@@ -61,8 +41,13 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
     return input.keywords[a] < input.keywords[b];
   });
 
-  KeywordSet remaining(input.universe);
-  std::unordered_set<std::string> processed_partitions;
+  KeywordMask remaining = 0;
+  for (size_t i = 0; i < m; ++i) remaining |= KeywordBit(i);
+  // Partitions already processed, keyed on their prefix {depth, c0, c1}.
+  std::set<std::array<uint32_t, 3>> processed_partitions;
+  // Per-list forward cursors for the random accesses of one short list's
+  // partitions, which arrive in document order.
+  std::vector<size_t> cursors(m);
 
   for (size_t oi = 0; oi < order.size(); ++oi) {
     size_t i = order[oi];
@@ -71,7 +56,8 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
     // still-unexplored keyword universe.
     if (options.early_stop && rq_list.full()) {
       ++stats.dp_calls;
-      auto potential = GetOptimalRq(input.q, remaining, input.rules);
+      auto potential =
+          GetOptimalRq(input.q, input.SetOf(remaining), input.rules);
       double c_potential = potential.has_value()
                                ? potential->dissimilarity
                                : std::numeric_limits<double>::infinity();
@@ -80,40 +66,50 @@ RefineOutcome ShortListEagerRefine(const index::IndexSource& corpus,
 
     // Each partition containing k_i (lines 6-9).
     const slca::PostingSpan& short_list = input.lists[i];
+    std::fill(cursors.begin(), cursors.end(), 0);
     size_t pos = 0;
     while (pos < short_list.size) {
       // Deadline/cancel poll at partition granularity.
       if (input.Stopped()) return StoppedOutcome(stats);
       const xml::DeweyRef v = short_list.label(pos);
-      xml::Dewey prefix = v.Prefix(std::min<size_t>(2, v.depth()));
-      xml::Dewey upper = PartitionUpperBound(prefix);
-      pos = LowerBoundFrom(short_list, pos, xml::DeweyRef(upper));
+      const xml::DeweyRef prefix(v.comps, v.len < 2 ? v.len : 2);
+      uint32_t bound[2];
+      const xml::DeweyRef upper = PartitionEnd(v, bound);
+      pos = slca::GallopLowerBound(short_list, pos, upper);
 
-      std::string pid = prefix.ToString();
-      if (!processed_partitions.insert(pid).second) continue;
+      if (!processed_partitions
+               .insert({prefix.len, prefix.len > 0 ? prefix[0] : 0,
+                        prefix.len > 1 ? prefix[1] : 0})
+               .second) {
+        continue;
+      }
       ++stats.partitions_visited;
 
-      // Random-access every list for this partition to collect T.
-      KeywordSet witnessed;
+      // Random-access every list for this partition to collect T,
+      // galloping forward from where the previous partition ended.
+      KeywordMask witnessed = 0;
       for (size_t j = 0; j < m; ++j) {
         ++stats.random_accesses;
-        size_t begin = LowerBoundFrom(input.lists[j], 0, xml::DeweyRef(prefix));
-        size_t end =
-            LowerBoundFrom(input.lists[j], begin, xml::DeweyRef(upper));
-        if (end > begin) witnessed.insert(input.keywords[j]);
+        const slca::PostingSpan& list = input.lists[j];
+        XR_DCHECK(cursors[j] == 0 || list.label(cursors[j] - 1) < prefix);
+        size_t begin = slca::GallopLowerBound(list, cursors[j], prefix);
+        size_t end = slca::GallopLowerBound(list, begin, upper);
+        cursors[j] = end;
+        if (end > begin) witnessed |= KeywordBit(j);
       }
-      if (witnessed.empty()) continue;
+      XR_DCHECK(witnessed & KeywordBit(i));
 
-      ++stats.dp_calls;
-      std::vector<RefinedQuery> candidates = GetTopOptimalRqs(
-          input.q, witnessed, input.rules, candidate_budget);
+      const std::vector<KeyedRq>& candidates = dp.TopRqs(witnessed, &stats);
       stats.candidates_enumerated += candidates.size();
-      for (const RefinedQuery& rq : candidates) {
-        if (rq_list.InsertOrFind(rq) == nullptr) ++stats.candidates_pruned;
+      for (const KeyedRq& c : candidates) {
+        XR_DCHECK((c.mask & ~witnessed) == 0);
+        if (rq_list.InsertOrFind(c.mask, c.rq) == nullptr) {
+          ++stats.candidates_pruned;
+        }
       }
     }
 
-    remaining.erase(input.keywords[i]);
+    remaining &= ~KeywordBit(i);
   }
 
   // Step 2 (lines 17-18): SLCA results for the surviving candidates, with

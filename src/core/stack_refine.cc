@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -14,7 +13,7 @@ struct Entry {
   explicit Entry(uint32_t c) : component(c) {}
 
   uint32_t component;
-  uint64_t mask = 0;                 // witnessed keywords of KS
+  KeywordMask mask = 0;              // witnessed keywords of KS
   bool q_emitted_below = false;      // an SLCA of Q was emitted in a child
   xml::TypeId witness = xml::kInvalidTypeId;
   std::vector<uint32_t> emitted;     // RQ ids emitted in this subtree
@@ -53,28 +52,23 @@ RefineOutcome StackRefine(const index::IndexSource& corpus,
                           const RefineInput& input,
                           const StackRefineOptions& options) {
   RefineStats stats;
+  if (Status s = RefinableStatus(input); !s.ok()) return FailedOutcome(s);
   const size_t m = input.lists.size();
   std::vector<std::pair<RefinedQuery, std::vector<slca::SlcaResult>>>
       candidate_list;
 
-  if (m == 0 || m > 64) {
-    return FinalizeOutcome(corpus, input.q, input.search_for,
-                           std::move(candidate_list), options.top_k,
-                           options.ranking, stats);
-  }
-
   // Bitmask of the original query's keywords within KS.
-  uint64_t q_mask = 0;
+  KeywordMask q_mask = 0;
   for (size_t i = 0; i < m; ++i) {
     if (std::find(input.q.begin(), input.q.end(), input.keywords[i]) !=
         input.q.end()) {
-      q_mask |= uint64_t{1} << i;
+      q_mask |= KeywordBit(i);
     }
   }
   const bool q_fully_listed =
       [&] {
         for (const std::string& k : input.q) {
-          if (input.universe.count(k) == 0) return false;
+          if (input.keyword_index.count(k) == 0) return false;
         }
         return true;
       }();
@@ -82,17 +76,20 @@ RefineOutcome StackRefine(const index::IndexSource& corpus,
   bool need_refine = true;
   std::vector<slca::SlcaResult> q_results;
 
-  // RQ candidates found so far: key -> index into candidate_list.
-  std::unordered_map<std::string, uint32_t> rq_ids;
+  // getOptimalRQ per witnessed mask, memoised across pops.
+  DpMemo dp(input, 1);
+  // RQ candidates found so far: RQ mask -> index into candidate_list.
+  std::unordered_map<KeywordMask, uint32_t> rq_ids;
 
   std::vector<Entry> stack;
 
-  auto witnessed_set = [&](uint64_t mask) {
-    KeywordSet t;
-    for (size_t i = 0; i < m; ++i) {
-      if (mask & (uint64_t{1} << i)) t.insert(input.keywords[i]);
-    }
-    return t;
+  // The popped node's label: the stack's components plus its own.
+  auto label_of = [&](const Entry& e) {
+    std::vector<uint32_t> components;
+    components.reserve(stack.size() + 1);
+    for (const Entry& se : stack) components.push_back(se.component);
+    components.push_back(e.component);
+    return xml::Dewey(std::move(components));
   };
 
   auto pop = [&]() {
@@ -101,46 +98,39 @@ RefineOutcome StackRefine(const index::IndexSource& corpus,
     ++stats.nodes_popped;
     size_t depth = stack.size() + 1;
 
+    // Meaningfulness needs only the node's type; the label is built only
+    // for nodes that become results.
     slca::SlcaResult node;
-    {
-      std::vector<uint32_t> components;
-      components.reserve(depth);
-      for (const Entry& se : stack) components.push_back(se.component);
-      components.push_back(e.component);
-      node.dewey = xml::Dewey(std::move(components));
-      node.type = slca::AncestorTypeAtDepth(corpus.types(), e.witness, depth);
-    }
+    node.type = slca::AncestorTypeAtDepth(corpus.types(), e.witness, depth);
     bool meaningful =
         slca::IsMeaningfulSlca(node, input.search_for, corpus.types());
 
     // Lines 10-12: e is a meaningful SLCA of Q itself.
     if (q_fully_listed && (e.mask & q_mask) == q_mask && !e.q_emitted_below &&
         meaningful) {
-      q_results.push_back(node);
+      node.dewey = label_of(e);
+      q_results.push_back(std::move(node));
       need_refine = false;
       e.q_emitted_below = true;
     } else if (e.mask != 0 && meaningful) {
       // Lines 13-17: track the refined query witnessed by this subtree.
-      ++stats.dp_calls;
-      auto rq = GetOptimalRq(input.q, witnessed_set(e.mask), input.rules);
-      if (rq.has_value()) {
-        std::string key = QueryKey(rq->keywords);
-        auto it = rq_ids.find(key);
-        uint32_t id;
-        if (it == rq_ids.end()) {
-          id = static_cast<uint32_t>(candidate_list.size());
+      const std::vector<KeyedRq>& optimal = dp.TopRqs(e.mask, &stats);
+      if (!optimal.empty()) {
+        const KeyedRq& rq = optimal.front();
+        XR_DCHECK((rq.mask & ~e.mask) == 0);
+        auto [it, inserted] = rq_ids.try_emplace(
+            rq.mask, static_cast<uint32_t>(candidate_list.size()));
+        const uint32_t id = it->second;
+        if (inserted) {
           ++stats.candidates_enumerated;
-          rq_ids.emplace(key, id);
-          candidate_list.emplace_back(std::move(*rq),
-                                      std::vector<slca::SlcaResult>{});
-        } else {
-          id = it->second;
+          candidate_list.emplace_back(rq.rq, std::vector<slca::SlcaResult>{});
         }
         // Emit only when no descendant already claimed this RQ (lines
         // 18-19: an ancestor is not a smallest result for the same RQ).
         if (std::find(e.emitted.begin(), e.emitted.end(), id) ==
             e.emitted.end()) {
-          candidate_list[id].second.push_back(node);
+          node.dewey = label_of(e);
+          candidate_list[id].second.push_back(std::move(node));
           e.emitted.push_back(id);
         }
       }
@@ -183,7 +173,7 @@ RefineOutcome StackRefine(const index::IndexSource& corpus,
       stack.push_back(Entry{label[i]});
     }
     XR_DCHECK(!stack.empty());
-    stack.back().mask |= uint64_t{1} << list_index;
+    stack.back().mask |= KeywordBit(static_cast<size_t>(list_index));
     if (stack.back().witness == xml::kInvalidTypeId) {
       stack.back().witness =
           input.lists[static_cast<size_t>(list_index)].type(pos);

@@ -87,7 +87,7 @@ RefineInput XRefine::Prepare(const Query& q) const {
     input.rules = MergeRuleSets(input.rules, log_rules_);
     // Log rules may introduce keywords the corpus-mined KS missed.
     for (const std::string& k : input.rules.NewKeywords(q)) {
-      if (input.universe.count(k) > 0) continue;
+      if (input.keyword_index.count(k) > 0) continue;
       auto handle_or = corpus_->FetchList(k);
       if (!handle_or.ok()) {
         input.status = handle_or.status();
@@ -99,8 +99,8 @@ RefineInput XRefine::Prepare(const Query& q) const {
       input.keywords.push_back(k);
       input.lists.emplace_back(*handle);
       input.pins.push_back(std::move(handle));
-      input.universe.insert(k);
     }
+    input.status = RefinableStatus(input);
   }
   return input;
 }
@@ -109,9 +109,7 @@ RefineOutcome XRefine::RunPrepared(const RefineInput& input) const {
   if (!input.status.ok()) {
     // A partially resolved input must not be answered: a list the store
     // failed to deliver would silently change conjunctive results.
-    RefineOutcome failed;
-    failed.status = input.status;
-    return failed;
+    return FailedOutcome(input.status);
   }
   Timer scan_timer;
   RefineOutcome outcome = Dispatch(input);

@@ -167,7 +167,8 @@ class IndexSource {
   // distinct values process-wide). Built under the mutex: construction is
   // a one-time engine-startup cost and serialising it prevents duplicate
   // builds racing.
-  mutable Mutex vocab_snapshot_mu_;
+  mutable Mutex vocab_snapshot_mu_{kLockRankVocabSnapshot,
+                                   "IndexSource::vocab_snapshot_mu_"};
   mutable std::map<int, std::shared_ptr<const text::VocabularyIndex>>
       vocab_snapshots_ GUARDED_BY(vocab_snapshot_mu_);
 };

@@ -117,12 +117,12 @@ class PrepareTest : public ::testing::Test {
 TEST_F(PrepareTest, KsContainsQueryAndRuleKeywords) {
   auto input = engine_->Prepare({"database", "publication"});
   // Query keyword present in the corpus is in KS...
-  EXPECT_TRUE(input.universe.count("database") > 0);
+  EXPECT_TRUE(input.keyword_index.count("database") > 0);
   // ...the out-of-corpus keyword is not (it has no inverted list)...
-  EXPECT_EQ(input.universe.count("publication"), 0u);
+  EXPECT_EQ(input.keyword_index.count("publication"), 0u);
   // ...and synonym-rule RHS keywords are.
-  EXPECT_TRUE(input.universe.count("article") > 0);
-  EXPECT_TRUE(input.universe.count("inproceedings") > 0);
+  EXPECT_TRUE(input.keyword_index.count("article") > 0);
+  EXPECT_TRUE(input.keyword_index.count("inproceedings") > 0);
   // keywords and lists stay parallel.
   ASSERT_EQ(input.keywords.size(), input.lists.size());
   for (size_t i = 0; i < input.keywords.size(); ++i) {

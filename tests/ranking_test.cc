@@ -164,46 +164,74 @@ RefinedQuery RQ(Query q, double dsim) {
   return RefinedQuery{std::move(q), dsim, {}};
 }
 
+// Masks over a toy keyword universe {a, b, c, d, e, x, y}.
+constexpr KeywordMask kA = 1, kB = 2, kC = 4, kD = 8, kE = 16, kX = 32,
+                      kY = 64;
+
 TEST(RqSortedListTest, KeepsAscendingOrderAndCapacity) {
   RqSortedList list(3);
   EXPECT_TRUE(list.CanAccept(100.0));  // not yet full
-  list.InsertOrFind(RQ({"c"}, 3.0));
-  list.InsertOrFind(RQ({"a"}, 1.0));
-  list.InsertOrFind(RQ({"b"}, 2.0));
+  list.InsertOrFind(kC, RQ({"c"}, 3.0));
+  list.InsertOrFind(kA, RQ({"a"}, 1.0));
+  list.InsertOrFind(kB, RQ({"b"}, 2.0));
   ASSERT_EQ(list.size(), 3u);
   EXPECT_DOUBLE_EQ(list.entries()[0].rq.dissimilarity, 1.0);
+  EXPECT_EQ(list.entries()[0].mask, kA);
   EXPECT_DOUBLE_EQ(list.entries()[2].rq.dissimilarity, 3.0);
   EXPECT_DOUBLE_EQ(list.AdmissionThreshold(), 3.0);
 
   // A better candidate evicts the worst.
-  list.InsertOrFind(RQ({"d"}, 0.5));
+  list.InsertOrFind(kD, RQ({"d"}, 0.5));
   ASSERT_EQ(list.size(), 3u);
-  EXPECT_FALSE(list.Contains({"c"}));
-  EXPECT_TRUE(list.Contains({"d"}));
+  EXPECT_FALSE(list.Contains(kC));
+  EXPECT_TRUE(list.Contains(kD));
 
   // A worse candidate is rejected.
-  EXPECT_EQ(list.InsertOrFind(RQ({"e"}, 9.0)), nullptr);
-  EXPECT_FALSE(list.Contains({"e"}));
+  EXPECT_EQ(list.InsertOrFind(kE, RQ({"e"}, 9.0)), nullptr);
+  EXPECT_FALSE(list.Contains(kE));
 }
 
 TEST(RqSortedListTest, DuplicateKeywordSetsAreMerged) {
   RqSortedList list(4);
-  list.InsertOrFind(RQ({"x", "y"}, 1.0));
-  auto* again = list.InsertOrFind(RQ({"y", "x"}, 1.0));  // same set
+  auto* first = list.InsertOrFind(kX | kY, RQ({"x", "y"}, 1.0));
+  auto* again = list.InsertOrFind(kX | kY, RQ({"y", "x"}, 1.0));  // same set
   ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again, first);
   EXPECT_EQ(list.size(), 1u);
+  // The first RefinedQuery stays.
+  EXPECT_EQ(list.entries()[0].rq.keywords, (Query{"x", "y"}));
 }
 
-TEST(RqSortedListTest, AppendResultsAccumulates) {
+TEST(RqSortedListTest, ResultsAccumulateOnTheReturnedEntry) {
   RqSortedList list(2);
-  list.InsertOrFind(RQ({"x"}, 1.0));
   slca::SlcaResult r1{xml::Dewey({0, 1}), 0};
   slca::SlcaResult r2{xml::Dewey({0, 2}), 0};
-  list.AppendResults({"x"}, {r1});
-  list.AppendResults({"x"}, {r2});
+  list.InsertOrFind(kX, RQ({"x"}, 1.0))->results.push_back(r1);
+  list.InsertOrFind(kX, RQ({"x"}, 1.0))->results.push_back(r2);
   ASSERT_EQ(list.entries()[0].results.size(), 2u);
-  // Appending to an unknown RQ is a no-op.
-  list.AppendResults({"unknown"}, {r1});
+  EXPECT_EQ(list.entries()[0].results[1].dewey, r2.dewey);
+}
+
+TEST(RqSortedListTest, EvictedKeywordSetIsNewWhenReoffered) {
+  RqSortedList list(2);
+  list.InsertOrFind(kA, RQ({"a"}, 1.0));
+  list.InsertOrFind(kB, RQ({"b"}, 2.0))
+      ->results.push_back(slca::SlcaResult{xml::Dewey({0, 7}), 0});
+  list.InsertOrFind(kC, RQ({"c"}, 0.5));  // evicts b
+  EXPECT_FALSE(list.Contains(kB));
+
+  // Re-offered with a dissimilarity that is admissible now, b comes back as
+  // a fresh entry: nothing of its evicted results survives.
+  auto* back = list.InsertOrFind(kB, RQ({"b"}, 0.7));
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->mask, kB);
+  EXPECT_TRUE(back->results.empty());
+  EXPECT_FALSE(list.Contains(kA));  // a was the worst, now evicted
+  EXPECT_EQ(list.size(), 2u);
+
+  // Re-offered while inadmissible, an evicted set is rejected outright.
+  EXPECT_EQ(list.InsertOrFind(kA, RQ({"a"}, 1.0)), nullptr);
+  EXPECT_FALSE(list.Contains(kA));
 }
 
 }  // namespace

@@ -75,6 +75,26 @@ TEST_F(RefineFigure1Test, PaperExample1SynonymSubstitution) {
   }
 }
 
+// A corrupt store can decode a posting with an empty Dewey label (the
+// prefix-delta codec accepts depth 0). The partition-driven loops must
+// still advance past it and terminate.
+TEST_F(RefineFigure1Test, EmptyLabelInAListStillTerminates) {
+  const index::PostingList* postings = corpus_.index->index().Find("xml");
+  ASSERT_NE(postings, nullptr);
+  index::FlatPostingList flat;
+  flat.Append(xml::DeweyRef(), postings->front().type);
+  for (const index::Posting& p : *postings) flat.Append(p.dewey, p.type);
+
+  RefineInput input;
+  input.q = {"xml"};
+  input.keywords = {"xml"};
+  input.lists = {slca::PostingSpan(flat)};
+  input.keyword_index = {{"xml", 0}};
+  EXPECT_TRUE(PartitionRefine(*corpus_.index, input).status.ok());
+  EXPECT_TRUE(ShortListEagerRefine(*corpus_.index, input).status.ok());
+  EXPECT_TRUE(StackRefine(*corpus_.index, input).status.ok());
+}
+
 TEST_F(RefineFigure1Test, SpellingError) {
   for (auto algorithm : kAllAlgorithms) {
     auto outcome = Run({"skylne", "computation"}, algorithm);
@@ -233,6 +253,82 @@ TEST_P(RefineAgreementTest, AlgorithmsAgreeOnBestDissimilarity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RefineAgreementTest,
                          ::testing::Values(3, 13, 23));
+
+// RefineStats accounting invariants, over generated queries and all three
+// algorithms: a partition is pruned at most once (only when every one of
+// its candidates was), and only enumerated candidates can be pruned.
+TEST(RefineStatsTest, PrunedCountsNeverExceedVisitedCounts) {
+  workload::DblpOptions gen;
+  gen.num_authors = 60;
+  gen.seed = 5;
+  auto doc = workload::GenerateDblp(gen);
+  auto corpus = index::BuildIndex(doc);
+  auto lexicon = text::Lexicon::BuiltIn();
+  workload::Corruptor corruptor(&corpus->index(), &lexicon);
+  workload::QueryGeneratorOptions qg;
+  qg.seed = 77;
+  workload::QueryGenerator qgen(&doc, corpus.get(), &corruptor, qg);
+  auto pool = qgen.GeneratePool(30);
+  ASSERT_FALSE(pool.empty());
+
+  size_t partitions_pruned = 0;
+  for (auto algorithm : kAllAlgorithms) {
+    XRefineOptions options;
+    options.algorithm = algorithm;
+    XRefine engine(corpus.get(), &lexicon, options);
+    for (const auto& cq : pool) {
+      const RefineStats s = engine.Run(cq.corrupted).stats;
+      EXPECT_LE(s.partitions_pruned, s.partitions_visited)
+          << RefineAlgorithmName(algorithm) << " "
+          << QueryToString(cq.corrupted);
+      EXPECT_LE(s.candidates_pruned, s.candidates_enumerated)
+          << RefineAlgorithmName(algorithm) << " "
+          << QueryToString(cq.corrupted);
+      partitions_pruned += s.partitions_pruned;
+    }
+  }
+  EXPECT_GT(partitions_pruned, 0u);  // the pruning path did run
+}
+
+// A keyword universe wider than the 64-bit keyword mask is refused loudly:
+// PrepareRefineInput reports it and every algorithm returns that error
+// instead of a silently empty answer.
+TEST(RefineInputTest, KeywordUniverseWiderThanMaskIsAnError) {
+  workload::DblpOptions gen;
+  gen.num_authors = 60;
+  auto doc = workload::GenerateDblp(gen);
+  auto corpus = index::BuildIndex(doc);
+  auto lexicon = text::Lexicon::BuiltIn();
+
+  Query q;
+  for (const std::string& k : corpus->index().Vocabulary()) {
+    if (q.size() > kMaxRefineKeywords) break;
+    q.push_back(k);
+  }
+  ASSERT_EQ(q.size(), kMaxRefineKeywords + 1);
+
+  RuleGenerator rules(corpus.get(), &lexicon);
+  RefineInput input = PrepareRefineInput(*corpus, q, rules, {});
+  EXPECT_EQ(input.status.code(), StatusCode::kInvalidArgument)
+      << input.status;
+  EXPECT_GT(input.keywords.size(), kMaxRefineKeywords);
+
+  EXPECT_EQ(PartitionRefine(*corpus, input).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ShortListEagerRefine(*corpus, input).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(StackRefine(*corpus, input).status.code(),
+            StatusCode::kInvalidArgument);
+  for (auto algorithm : kAllAlgorithms) {
+    XRefineOptions options;
+    options.algorithm = algorithm;
+    XRefine engine(corpus.get(), &lexicon, options);
+    RefineOutcome out = engine.Run(q);
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument)
+        << RefineAlgorithmName(algorithm);
+    EXPECT_TRUE(out.refined.empty());
+  }
+}
 
 }  // namespace
 }  // namespace xrefine::core
