@@ -1,17 +1,14 @@
 // Prepare-path benchmark: (1) spelling-candidate mining latency across
-// vocabulary sizes, linear banded scan vs the deletion-neighborhood index,
-// with a byte-identical RuleSet check between the two paths; (2) posting-
-// list cache hit rate on a hot/cold mixed fetch trace with TinyLFU
-// admission on vs plain LRU.
+// vocabulary sizes through the deletion-neighborhood index, plus the
+// index's build time and footprint; (2) posting-list cache hit rate on a
+// hot/cold mixed fetch trace with TinyLFU admission on vs plain LRU.
 //
 // Flags:
 //   --quick     small sizes and single timing runs — the build-matrix
 //               (TSan) smoke configuration;
-//   --baseline  the headline gauges (bench.rulegen.spelling_total_us,
-//               bench.rulegen.cache_hit_pct) report the pre-optimisation
-//               configuration (linear scan, plain LRU). Detail gauges for
-//               both paths are always emitted. Used to produce
-//               bench/results/BENCH_rule_generation.before.json.
+//   --baseline  the cache headline gauges (bench.rulegen.cache_hit_pct,
+//               bench.rulegen.postscan_hot_hit_pct) report plain LRU.
+//               Detail gauges for both caches are always emitted.
 //
 // The metrics registry (rules.spelling_probe_us, index.cache_admit/reject,
 // the bench.rulegen.* curve points) is dumped to
@@ -63,8 +60,8 @@ std::unique_ptr<index::IndexedCorpus> MakeSyntheticCorpus(size_t vocab_size,
   for (const std::string& w : pool) {
     auto postings = static_cast<size_t>(1 + (id % 5));
     for (size_t p = 0; p < postings; ++p) {
-      corpus->mutable_index().Append(
-          w, index::Posting{xml::Dewey({0, id, static_cast<uint32_t>(p)}), 0});
+      const uint32_t label[] = {0, id, static_cast<uint32_t>(p)};
+      corpus->mutable_index().Append(w, xml::DeweyRef(label, 3), 0);
     }
     ++id;
   }
@@ -105,84 +102,43 @@ std::vector<core::Query> MakeTypoQueries(const index::IndexedCorpus& corpus,
   return queries;
 }
 
-std::string ConcatRules(const core::RuleSet& rules) {
-  std::string all;
-  for (const auto& r : rules.rules()) {
-    all += r.DebugString();
-    all += '\n';
-  }
-  return all;
-}
-
-// Returns the indexed-path total microseconds at this size (for the
-// headline gauge); dies on a RuleSet mismatch — the equivalence is the
-// bench's correctness gate.
-void BenchSpelling(size_t vocab_size, size_t num_queries, int runs,
-                   bool baseline) {
+void BenchSpelling(size_t vocab_size, size_t num_queries, int runs) {
   Random rng(vocab_size);  // per-size determinism
   auto corpus = MakeSyntheticCorpus(vocab_size, &rng);
   text::Lexicon lexicon = text::Lexicon::BuiltIn();
   auto queries = MakeTypoQueries(*corpus, num_queries, &rng);
 
-  core::RuleGeneratorOptions indexed_options;
-  core::RuleGeneratorOptions linear_options;
-  linear_options.use_spelling_index = false;
-
   // The shared VocabularyIndex snapshot (including the deletion-
-  // neighborhood buckets) is built on the first generator; time it alone.
+  // neighborhood buckets) is built with the first generator; time it alone.
+  core::RuleGeneratorOptions options;
   Timer build_timer;
-  core::RuleGenerator indexed_gen(corpus.get(), &lexicon, indexed_options);
+  core::RuleGenerator generator(corpus.get(), &lexicon, options);
   double build_ms = build_timer.ElapsedMillis();
-  core::RuleGenerator linear_gen(corpus.get(), &lexicon, linear_options);
 
-  // Equivalence gate: both paths must emit byte-identical RuleSets.
-  for (const core::Query& q : queries) {
-    std::string from_index = ConcatRules(indexed_gen.GenerateFor(q));
-    std::string from_scan = ConcatRules(linear_gen.GenerateFor(q));
-    if (from_index != from_scan) {
-      std::printf("FATAL: RuleSet divergence on '%s'\n-- indexed --\n%s"
-                  "-- linear --\n%s",
-                  q[0].c_str(), from_index.c_str(), from_scan.c_str());
-      std::exit(1);
-    }
-  }
-
-  auto drive = [&queries](const core::RuleGenerator& gen) {
-    size_t total_rules = 0;
-    for (const core::Query& q : queries) {
-      total_rules += gen.GenerateFor(q).rules().size();
-    }
-    return total_rules;
-  };
-  double linear_ms = TimeMs([&] { drive(linear_gen); }, runs);
-  double indexed_ms = TimeMs([&] { drive(indexed_gen); }, runs);
-  double speedup = indexed_ms > 0 ? linear_ms / indexed_ms : 0;
+  double indexed_ms = TimeMs(
+      [&] {
+        for (const core::Query& q : queries) generator.GenerateFor(q);
+      },
+      runs);
 
   const text::SpellingIndex& spelling =
-      corpus->VocabularyIndexSnapshot(indexed_options.max_edit_distance)
-          ->spelling();
+      corpus->VocabularyIndexSnapshot(options.max_edit_distance)->spelling();
   std::printf(
-      "%7zu words: linear %9.2f ms  indexed %7.2f ms  (%6.1fx)  "
-      "build %7.1f ms  %8zu variants, %5.1f MiB\n",
-      vocab_size, linear_ms, indexed_ms, speedup, build_ms,
-      spelling.entry_count(),
+      "%7zu words: indexed %7.2f ms  build %7.1f ms  %8zu variants, "
+      "%5.1f MiB\n",
+      vocab_size, indexed_ms, build_ms, spelling.entry_count(),
       static_cast<double>(spelling.approximate_bytes()) / (1024.0 * 1024.0));
 
   auto& registry = metrics::Registry::Global();
   const std::string suffix = std::to_string(vocab_size) + "w";
-  registry.gauge("bench.rulegen.linear_us." + suffix)
-      ->Set(static_cast<int64_t>(linear_ms * 1e3));
   registry.gauge("bench.rulegen.indexed_us." + suffix)
       ->Set(static_cast<int64_t>(indexed_ms * 1e3));
-  registry.gauge("bench.rulegen.speedup_x." + suffix)
-      ->Set(static_cast<int64_t>(speedup));
   registry.gauge("bench.rulegen.build_ms." + suffix)
       ->Set(static_cast<int64_t>(build_ms));
   registry.gauge("bench.rulegen.index_bytes." + suffix)
       ->Set(static_cast<int64_t>(spelling.approximate_bytes()));
-  // Headline: what the configured (pre/post) spelling path costs here.
   registry.gauge("bench.rulegen.spelling_total_us")
-      ->Set(static_cast<int64_t>((baseline ? linear_ms : indexed_ms) * 1e3));
+      ->Set(static_cast<int64_t>(indexed_ms * 1e3));
 }
 
 // --- phase 2: cache admission on a hot/cold trace ---------------------------
@@ -312,14 +268,14 @@ void BenchCacheAdmission(bool quick, bool baseline) {
 }
 
 void Main(bool quick, bool baseline) {
-  PrintHeader("Spelling-candidate mining: linear scan vs deletion index");
+  PrintHeader("Spelling-candidate mining: deletion-neighborhood index");
   const std::vector<size_t> sizes =
       quick ? std::vector<size_t>{500, 2000}
             : std::vector<size_t>{1000, 4000, 16000, 32000};
   size_t num_queries = quick ? 8 : 30;
   int runs = quick ? 1 : 3;
   for (size_t size : sizes) {
-    BenchSpelling(size, num_queries, runs, baseline);
+    BenchSpelling(size, num_queries, runs);
   }
 
   BenchCacheAdmission(quick, baseline);

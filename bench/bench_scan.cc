@@ -1,18 +1,15 @@
 // Scan-phase benchmark: SLCA computation over a store-backed source, the
-// path the scan overhaul targets. Two configurations are measured with the
-// same corpus and query set:
+// path the scan overhaul targets. Both configurations serve the same corpus
+// and query set from one store of blocked (v3) records:
 //
-//   --baseline   v2 flat prefix-delta store records + Scan Eager cursor
-//                probes (the pre-overhaul discipline, kept behind
-//                PostingFormat::kPrefixDelta / SlcaAlgorithm::kScanEager
-//                for exactly this ablation);
-//   (default)    v3 block-compressed records + Indexed Lookup Eager with
-//                galloping resume-hint probes.
+//   --baseline   Scan Eager cursor probes (the pre-overhaul discipline,
+//                kept as SlcaAlgorithm::kScanEager for exactly this
+//                ablation);
+//   (default)    Indexed Lookup Eager with galloping resume-hint probes.
 //
 // Whatever the timed configuration, the run cross-checks every query's
-// SLCA results against the opposite configuration computed in-process and
-// aborts on any divergence — the speedup claim is only meaningful if the
-// answers are byte-identical.
+// SLCA results against the other kernel and aborts on any divergence — the
+// speedup claim is only meaningful if the answers are byte-identical.
 //
 // The query set is skew-stratified (rare anchor + common long lists — the
 // XKSearch regime the galloping probes exploit — plus balanced controls),
@@ -112,9 +109,8 @@ StatusOr<std::unique_ptr<index::StoreBackedIndexSource>> OpenSource(
 }
 
 bool Main(bool quick, bool baseline) {
-  PrintHeader(baseline
-                  ? "Scan phase: BASELINE (v2 records + scan-eager probes)"
-                  : "Scan phase: v3 blocked records + galloping lookups");
+  PrintHeader(baseline ? "Scan phase: BASELINE (scan-eager probes)"
+                       : "Scan phase: galloping indexed lookups");
   // Full mode needs common lists long enough that the skewed classes probe
   // tens of thousands of postings — the regime the galloping overhaul is
   // for; a small corpus makes every class a balanced control.
@@ -122,57 +118,39 @@ bool Main(bool quick, bool baseline) {
   auto queries = MakeQuerySet(*env.corpus, quick ? 2 : 6);
   const int rounds = quick ? 3 : 9;
 
-  const index::PostingFormat timed_format =
-      baseline ? index::PostingFormat::kPrefixDelta
-               : index::PostingFormat::kBlocked;
   const slca::SlcaAlgorithm timed_algorithm =
       baseline ? slca::SlcaAlgorithm::kScanEager
                : slca::SlcaAlgorithm::kIndexedLookup;
-  const index::PostingFormat other_format =
-      baseline ? index::PostingFormat::kBlocked
-               : index::PostingFormat::kPrefixDelta;
   const slca::SlcaAlgorithm other_algorithm =
       baseline ? slca::SlcaAlgorithm::kIndexedLookup
                : slca::SlcaAlgorithm::kScanEager;
 
-  // Two stores, one per record format, so the cross-check exercises both
-  // decode paths end to end.
-  const std::string timed_path = "bench_scan_timed.xrdb";
-  const std::string other_path = "bench_scan_other.xrdb";
-  FileRemover r1{timed_path}, r2{other_path};
-  std::remove(timed_path.c_str());
-  std::remove(other_path.c_str());
-  auto timed_store_or = storage::KVStore::Open(timed_path);
-  auto other_store_or = storage::KVStore::Open(other_path);
-  if (!timed_store_or.ok() || !other_store_or.ok()) {
+  const std::string path = "bench_scan.xrdb";
+  FileRemover remover{path};
+  std::remove(path.c_str());
+  auto store_or = storage::KVStore::Open(path);
+  if (!store_or.ok()) {
     std::printf("store open failed\n");
     return false;
   }
-  if (!index::SaveCorpus(*env.corpus, timed_store_or.value().get(),
-                         timed_format)
-           .ok() ||
-      !index::SaveCorpus(*env.corpus, other_store_or.value().get(),
-                         other_format)
-           .ok()) {
+  if (!index::SaveCorpus(*env.corpus, store_or.value().get()).ok()) {
     std::printf("save failed\n");
     return false;
   }
-  auto timed_source_or = OpenSource(timed_store_or.value().get());
-  auto other_source_or = OpenSource(other_store_or.value().get());
-  if (!timed_source_or.ok() || !other_source_or.ok()) {
+  auto source_or = OpenSource(store_or.value().get());
+  if (!source_or.ok()) {
     std::printf("source open failed\n");
     return false;
   }
-  auto& timed_source = *timed_source_or.value();
-  auto& other_source = *other_source_or.value();
+  auto& source = *source_or.value();
 
-  // Correctness gate first: byte-identical SLCA results, both configs.
+  // Correctness gate first: byte-identical SLCA results from both kernels.
   size_t verified = 0;
   for (const ScanQuery& q : queries) {
     auto timed_or = slca::ComputeSlcaForQuery(
-        q.terms, timed_source, timed_source.types(), timed_algorithm);
+        q.terms, source, source.types(), timed_algorithm);
     auto other_or = slca::ComputeSlcaForQuery(
-        q.terms, other_source, other_source.types(), other_algorithm);
+        q.terms, source, source.types(), other_algorithm);
     if (!timed_or.ok() || !other_or.ok()) {
       std::printf("FETCH FAILED during verification\n");
       return false;
@@ -183,7 +161,7 @@ bool Main(bool quick, bool baseline) {
     }
     ++verified;
   }
-  std::printf("verified: %zu/%zu queries byte-identical across configs\n",
+  std::printf("verified: %zu/%zu queries byte-identical across kernels\n",
               verified, queries.size());
 
   // Timed phase (lists are now cache-hot: this times the scan, not I/O).
@@ -201,7 +179,7 @@ bool Main(bool quick, bool baseline) {
     for (int round = 0; round < rounds; ++round) {
       Timer t;
       auto results_or = slca::ComputeSlcaForQuery(
-          q.terms, timed_source, timed_source.types(), timed_algorithm);
+          q.terms, source, source.types(), timed_algorithm);
       double elapsed = t.ElapsedMillis();
       if (!results_or.ok()) {
         std::printf("FETCH FAILED during timing\n");
@@ -238,7 +216,7 @@ bool Main(bool quick, bool baseline) {
           if (i >= total) break;
           const ScanQuery& q = queries[i % queries.size()];
           auto results_or = slca::ComputeSlcaForQuery(
-              q.terms, timed_source, timed_source.types(), timed_algorithm);
+              q.terms, source, source.types(), timed_algorithm);
           if (!results_or.ok()) failed.store(true);
         }
       });

@@ -47,7 +47,7 @@ void SlcaComparison() {
     for (const auto& k : c.q) {
       if (!sizes.empty()) sizes += "/";
       sizes += std::to_string(list_size(k));
-      const index::FlatPostingList* list = env.corpus->index().FindFlat(k);
+      const index::FlatPostingList* list = env.corpus->index().Find(k);
       if (list == nullptr) {
         ok = false;
         break;

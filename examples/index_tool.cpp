@@ -96,14 +96,13 @@ int Lookup(const std::string& db_path, const std::string& keyword) {
       return 0;
     }
     std::cout << "\"" << keyword << "\": " << list->size() << " postings\n";
-    size_t shown = 0;
-    for (const auto& p : *list) {
-      if (shown++ >= 10) {
+    for (size_t i = 0; i < list->size(); ++i) {
+      if (i >= 10) {
         std::cout << "  ...\n";
         break;
       }
-      std::cout << "  " << p.dewey.ToString() << "  "
-                << corpus.types().path(p.type) << "\n";
+      std::cout << "  " << list->DeweyAt(i).ToString() << "  "
+                << corpus.types().path(list->type(i)) << "\n";
     }
     return 0;
   });

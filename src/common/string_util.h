@@ -2,11 +2,22 @@
 #ifndef XREFINE_COMMON_STRING_UTIL_H_
 #define XREFINE_COMMON_STRING_UTIL_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace xrefine {
+
+/// Transparent string hash: with `std::equal_to<>` it lets a
+/// std::string-keyed unordered container be probed with a string_view,
+/// without allocating a std::string per probe.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Splits `s` on `sep`, omitting empty pieces.
 std::vector<std::string> SplitString(std::string_view s, char sep);

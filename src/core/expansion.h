@@ -42,7 +42,7 @@ struct ExpansionOptions {
   double max_support_fraction = 0.9;
 
   slca::SearchForNodeOptions search_for_node;
-  slca::SlcaAlgorithm slca_algorithm = slca::SlcaAlgorithm::kScanEager;
+  slca::SlcaAlgorithm slca_algorithm = slca::kDefaultSlcaAlgorithm;
 };
 
 struct ExpandedQuery {

@@ -14,7 +14,7 @@ namespace xrefine::core {
 
 struct PartitionRefineOptions {
   size_t top_k = 3;
-  slca::SlcaAlgorithm slca_algorithm = slca::SlcaAlgorithm::kScanEager;
+  slca::SlcaAlgorithm slca_algorithm = slca::kDefaultSlcaAlgorithm;
   RankingOptions ranking;
   /// Ablation knob: disable the skip of unpromising partitions.
   bool prune_partitions = true;

@@ -186,7 +186,9 @@ class DpMemo {
 /// the subtree under a child of the root) that holds `v`: v's depth-2
 /// prefix with its last component incremented, written into `buf` with no
 /// allocation. An empty label (only a corrupt store holds one) gets the
-/// bound {0}, which keeps it in a partition of its own.
+/// bound {0}, which keeps it in a partition of its own. The increment
+/// cannot wrap: no label holds a component of 2^32-1 (builders never emit
+/// one, and the posting decoder rejects it).
 inline xml::DeweyRef PartitionEnd(const xml::DeweyRef& v, uint32_t (&buf)[2]) {
   if (v.empty()) {
     buf[0] = 0;

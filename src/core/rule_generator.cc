@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/metrics.h"
-#include "text/edit_distance.h"
 #include "text/porter_stemmer.h"
 #include "text/spelling_index.h"
 
@@ -87,26 +86,10 @@ void RuleGenerator::AddSpellingRules(const Query& q, RuleSet* rules) const {
     metrics::ScopedTimer probe_timer(Metrics().spelling_probe_us);
 
     // Candidate corpus words within the edit-distance band, as
-    // (word id, exact distance) pairs in ascending id order. The indexed
-    // path probes only k's deletion neighborhood; the linear path is the
-    // original full-vocabulary banded scan, kept for ablation — both
-    // produce the same matches.
+    // (word id, exact distance) pairs in ascending id order, from a probe
+    // of k's deletion neighborhood only.
     std::vector<text::SpellingIndex::Match> matches;
-    if (options_.use_spelling_index) {
-      vocab_->spelling().Candidates(k, &matches);
-    } else {
-      for (size_t id = 0; id < words.size(); ++id) {
-        const std::string& word = words[id];
-        size_t lk = k.size();
-        size_t lw = word.size();
-        size_t diff = lk > lw ? lk - lw : lw - lk;
-        if (diff > static_cast<size_t>(max_d)) continue;
-        int d = text::EditDistanceAtMost(k, word, max_d);
-        if (d > max_d) continue;
-        matches.push_back(
-            text::SpellingIndex::Match{static_cast<uint32_t>(id), d});
-      }
-    }
+    vocab_->spelling().Candidates(k, &matches);
 
     // Ranking is distance-major, so a distance class whose candidates all
     // start at or past the max_spelling_candidates cutoff can never be

@@ -17,9 +17,7 @@
 // text::VocabularyIndex snapshot cached on the IndexSource, so N engines
 // over one corpus build them once. Spelling candidates come from the
 // SymSpell-style deletion-neighborhood probe — O(neighborhood) per term —
-// instead of a banded edit-distance scan over the entire vocabulary; the
-// linear scan survives behind `use_spelling_index = false` as the
-// equivalence/ablation baseline.
+// instead of a banded edit-distance scan over the entire vocabulary.
 #ifndef XREFINE_CORE_RULE_GENERATOR_H_
 #define XREFINE_CORE_RULE_GENERATOR_H_
 
@@ -50,11 +48,6 @@ struct RuleGeneratorOptions {
   double acronym_cost = 1.0;
   double stemming_cost = 1.0;
   size_t max_stemming_candidates = 3;
-  /// Answer spelling lookups from the deletion-neighborhood index (the
-  /// default). Off = the original banded edit-distance scan over the whole
-  /// vocabulary; kept for ablation and the equivalence bench — both paths
-  /// produce byte-identical RuleSets.
-  bool use_spelling_index = true;
 };
 
 class RuleGenerator {

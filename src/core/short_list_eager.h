@@ -13,7 +13,7 @@ namespace xrefine::core {
 
 struct SleOptions {
   size_t top_k = 3;
-  slca::SlcaAlgorithm slca_algorithm = slca::SlcaAlgorithm::kScanEager;
+  slca::SlcaAlgorithm slca_algorithm = slca::kDefaultSlcaAlgorithm;
   RankingOptions ranking;
   /// Ablation knob: disable the C_potential early stop.
   bool early_stop = true;

@@ -32,10 +32,9 @@ std::string RefineAlgorithmName(RefineAlgorithm algorithm);
 struct XRefineOptions {
   size_t top_k = 3;
   RefineAlgorithm algorithm = RefineAlgorithm::kPartition;
-  /// Indexed Lookup Eager with galloping resume-hint probes (slca_common.h)
-  /// is the default since the scan-path overhaul; kScanEager remains as the
-  /// pre-overhaul probe discipline for ablation (bench_scan --baseline).
-  slca::SlcaAlgorithm slca_algorithm = slca::SlcaAlgorithm::kIndexedLookup;
+  /// kScanEager remains as the pre-overhaul probe discipline for ablation
+  /// (bench_scan --baseline).
+  slca::SlcaAlgorithm slca_algorithm = slca::kDefaultSlcaAlgorithm;
   RankingOptions ranking;
   slca::SearchForNodeOptions search_for_node;
   RuleGeneratorOptions rules;

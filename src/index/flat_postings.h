@@ -1,18 +1,19 @@
-// FlatPostingList: the columnar, cache-resident form of a posting list.
-// Instead of a vector<Posting> where every Dewey owns its own heap block,
-// all labels live concatenated in one uint32 pool with an offsets column and
-// a types column (structure-of-arrays). Decoding a stored list fills three
-// flat vectors with zero per-posting allocations, and the SLCA scan loops
-// walk contiguous memory — this layout, not the algorithm, is what makes
-// the Indexed Lookup Eager probes fast at scale (cf. XKSearch, and the
-// DAG-compression line in PAPERS.md).
+// FlatPostingList: the one in-memory form of a keyword's inverted list —
+// the paper's <DeweyID, prefixPath> entries (Section VII), in document
+// order, one entry per (keyword, node) occurrence site. Instead of a vector
+// of postings where every Dewey owns its own heap block, all labels live
+// concatenated in one uint32 pool with an offsets column and a types column
+// (structure-of-arrays). The builders append into it, decoding a stored
+// list fills the three vectors with zero per-posting allocations, and the
+// SLCA scan loops walk contiguous memory — this layout, not the algorithm,
+// is what makes the Indexed Lookup Eager probes fast at scale (cf.
+// XKSearch, and the DAG-compression line in PAPERS.md).
 #ifndef XREFINE_INDEX_FLAT_POSTINGS_H_
 #define XREFINE_INDEX_FLAT_POSTINGS_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "index/posting.h"
 #include "xml/dewey.h"
 #include "xml/node_type.h"
 
@@ -35,8 +36,9 @@ class FlatPostingList {
   /// Owning copy of posting i's label (result materialisation only).
   xml::Dewey DeweyAt(size_t i) const { return label(i).ToDewey(); }
 
-  /// Appends one posting; callers append in document order, mirroring the
-  /// builder's contract for PostingList.
+  /// Appends one posting; callers append in document order, and the
+  /// builders record a node once per keyword (occurrence counts live in the
+  /// statistics table).
   void Append(const xml::DeweyRef& label, xml::TypeId type) {
     components_.insert(components_.end(), label.comps, label.comps + label.len);
     starts_.push_back(static_cast<uint32_t>(components_.size()));
@@ -54,30 +56,10 @@ class FlatPostingList {
     components_.reserve(components);
   }
 
-  void Clear() {
-    components_.clear();
-    starts_.assign(1, 0);
-    types_.clear();
-  }
-
-  /// Converts from the build-time AoS representation.
-  static FlatPostingList FromPostings(const PostingList& list) {
-    FlatPostingList flat;
-    size_t comps = 0;
-    for (const Posting& p : list) comps += p.dewey.depth();
-    flat.Reserve(list.size(), comps);
-    for (const Posting& p : list) flat.Append(p.dewey, p.type);
-    return flat;
-  }
-
-  /// Converts back to AoS (tests, round-trip checks).
-  PostingList ToPostings() const {
-    PostingList out;
-    out.reserve(size());
-    for (size_t i = 0; i < size(); ++i) {
-      out.push_back(Posting{DeweyAt(i), type(i)});
-    }
-    return out;
+  /// Column-wise equality: the same labels and types in the same order.
+  bool operator==(const FlatPostingList& other) const {
+    return types_ == other.types_ && starts_ == other.starts_ &&
+           components_ == other.components_;
   }
 
   /// Approximate resident heap footprint, consistent across lists (used by

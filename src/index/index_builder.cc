@@ -32,6 +32,27 @@ class TypeChainCache {
   std::unordered_map<xml::TypeId, std::vector<xml::TypeId>> chains_;
 };
 
+// Document frequencies, from the finished lists (so it serves both
+// builders): df(k, T) counts the distinct T-typed nodes whose subtree holds
+// a posting of k, i.e. the distinct ancestors of k's postings. Postings are
+// in document order, so the postings sharing a depth-d ancestor are
+// contiguous, and posting i's ancestors are new exactly below its common
+// prefix with posting i-1 — compared in place, with no label copies.
+void AddDocumentFrequencies(const InvertedIndex& index, TypeChainCache* chains,
+                            StatisticsTable* stats) {
+  for (const auto& [keyword, list] : index.lists()) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      const auto& chain = chains->ChainOf(list.type(i));
+      size_t shared =
+          i == 0 ? 0 : xml::CommonPrefixDepth(list.label(i - 1), list.label(i));
+      for (size_t d = shared; d < chain.size(); ++d) {
+        stats->AddDocumentFrequency(keyword, chain[d]);
+      }
+    }
+  }
+  stats->FinalizeDistinctCounts();
+}
+
 }  // namespace
 
 std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
@@ -63,7 +84,7 @@ std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
 
     const auto& chain = chains.ChainOf(node.type);
     for (const auto& [term, count] : counts) {
-      index.Append(term, Posting{node.dewey, node.type});
+      index.Append(term, xml::DeweyRef(node.dewey), node.type);
       for (xml::TypeId ancestor : chain) {
         stats.AddTermFrequency(term, ancestor, count);
       }
@@ -75,25 +96,7 @@ std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
     }
   }
 
-  // Pass 2: document frequencies. Postings of each keyword are in document
-  // order, so equal ancestor labels are contiguous: one last-seen label per
-  // depth dedupes T-typed subtrees.
-  for (const auto& [keyword, list] : index.lists()) {
-    std::vector<xml::Dewey> last_seen;  // indexed by depth-1
-    for (const Posting& p : list) {
-      const auto& chain = chains.ChainOf(p.type);
-      if (last_seen.size() < chain.size()) last_seen.resize(chain.size());
-      for (size_t d = 0; d < chain.size(); ++d) {
-        xml::Dewey anchor = p.dewey.Prefix(d + 1);
-        if (last_seen[d] != anchor) {
-          stats.AddDocumentFrequency(keyword, chain[d]);
-          last_seen[d] = std::move(anchor);
-        }
-      }
-    }
-  }
-
-  stats.FinalizeDistinctCounts();
+  AddDocumentFrequencies(index, &chains, &stats);
   return corpus;
 }
 
@@ -113,7 +116,7 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
   // follows pre-resolved pointers — unordered_map nodes never move, so the
   // cached list/cell/count slots stay valid across later insertions.
   struct TermSlot {
-    PostingList* list = nullptr;
+    FlatPostingList* list = nullptr;
     std::vector<KeywordTypeStats*> cells;  // aligned with the type chain
     uint32_t count = 0;
   };
@@ -163,7 +166,9 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
     const NodePlan& plan = plans[id];
     ++*plan.node_count;
     for (const TermSlot& slot : plan.slots) {
-      slot.list->push_back(Posting{xml::Dewey(comps), plan.type});
+      slot.list->Append(
+          xml::DeweyRef(comps.data(), static_cast<uint32_t>(comps.size())),
+          plan.type);
       for (KeywordTypeStats* cell : slot.cells) cell->tf += slot.count;
     }
   };
@@ -184,24 +189,7 @@ std::unique_ptr<IndexedCorpus> BuildIndexFromDag(
     }
   }
 
-  // Pass 2 is representation-independent: it reads the finished posting
-  // lists, which match the uncompressed builder's exactly.
-  for (const auto& [keyword, list] : index.lists()) {
-    std::vector<xml::Dewey> last_seen;  // indexed by depth-1
-    for (const Posting& p : list) {
-      const auto& chain = chains.ChainOf(p.type);
-      if (last_seen.size() < chain.size()) last_seen.resize(chain.size());
-      for (size_t d = 0; d < chain.size(); ++d) {
-        xml::Dewey anchor = p.dewey.Prefix(d + 1);
-        if (last_seen[d] != anchor) {
-          stats.AddDocumentFrequency(keyword, chain[d]);
-          last_seen[d] = std::move(anchor);
-        }
-      }
-    }
-  }
-
-  stats.FinalizeDistinctCounts();
+  AddDocumentFrequencies(index, &chains, &stats);
   return corpus;
 }
 

@@ -54,7 +54,7 @@ class IndexedCorpus : public IndexSource {
 
   StatusOr<PostingListHandle> FetchList(
       std::string_view keyword) const override {
-    return PostingListHandle::Unowned(index_.FindFlat(keyword));
+    return PostingListHandle::Unowned(index_.Find(keyword));
   }
   bool Contains(std::string_view keyword) const override {
     return index_.Contains(keyword);

@@ -25,7 +25,6 @@
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
 #include "index/flat_postings.h"
-#include "index/posting.h"
 #include "index/statistics.h"
 #include "xml/node_type.h"
 
@@ -45,7 +44,7 @@ class CooccurrenceTable;
 /// A pinned posting list in the columnar serving layout
 /// (index::FlatPostingList). Null when the keyword has no list. The pointee
 /// is immutable and outlives the handle; for in-memory sources the handle
-/// is a free alias into the index's flat mirror, for store-backed sources
+/// is a free alias into the index's own list, for store-backed sources
 /// it co-owns the decoded list with the cache.
 class PostingListHandle {
  public:

@@ -33,7 +33,7 @@ std::string MetaKey(const char (&literal)[N]) {
 
 struct IndexMetrics {
   metrics::Counter* list_fetches;   // inverted lists decoded from the store
-  metrics::Counter* bytes_decoded;  // encoded bytes fed to DecodePostings
+  metrics::Counter* bytes_decoded;  // encoded bytes fed to the decoder
 };
 
 const IndexMetrics& Metrics() {
@@ -120,15 +120,6 @@ Status DecodeTypeStats(std::string_view data, StatisticsTable* stats) {
   return Status::OK();
 }
 
-// Posting-list formats. Version 2 is flat prefix-delta: postings arrive in
-// document order, so consecutive Dewey labels share long prefixes; each
-// posting stores only the number of components reused from its predecessor
-// plus the fresh suffix. Version 3 wraps the same delta coding in
-// fixed-capacity skippable blocks (index/posting_blocks.h). Writers pick
-// via PostingFormat; readers accept both.
-constexpr uint8_t kPostingFormatPrefixDelta = 2;
-constexpr uint8_t kPostingFormatBlocked = 3;
-
 }  // namespace
 
 std::string InvertedListKey(std::string_view keyword) {
@@ -146,115 +137,6 @@ std::string FreqRowKey(std::string_view keyword) {
 }
 
 std::string BloomMetaKey() { return MetaKey(kBloomKey); }
-
-std::string EncodePostings(const PostingList& list, PostingFormat format) {
-  if (format == PostingFormat::kBlocked) {
-    return EncodePostingsBlocked(list);
-  }
-  std::string out;
-  out.push_back(static_cast<char>(kPostingFormatPrefixDelta));
-  PutVarint32(&out, static_cast<uint32_t>(list.size()));
-  const xml::Dewey* prev = nullptr;
-  for (const Posting& p : list) {
-    uint32_t reuse = 0;
-    if (prev != nullptr) {
-      size_t limit = std::min(prev->depth(), p.dewey.depth());
-      while (reuse < limit &&
-             (*prev)[reuse] == p.dewey[reuse]) {
-        ++reuse;
-      }
-    }
-    PutVarint32(&out, p.type);
-    PutVarint32(&out, reuse);
-    PutVarint32(&out, static_cast<uint32_t>(p.dewey.depth()) - reuse);
-    for (size_t d = reuse; d < p.dewey.depth(); ++d) {
-      PutVarint32(&out, p.dewey[d]);
-    }
-    prev = &p.dewey;
-  }
-  return out;
-}
-
-Status DecodePostings(std::string_view data, PostingList* list) {
-  const char* p = data.data();
-  const char* limit = data.data() + data.size();
-  if (p >= limit) return Status::Corruption("postings: empty record");
-  uint8_t version = static_cast<uint8_t>(*p++);
-  if (version == kPostingFormatBlocked) {
-    FlatPostingList flat;
-    XREFINE_RETURN_IF_ERROR(DecodePostingsFlat(data, &flat));
-    PostingList decoded = flat.ToPostings();
-    list->insert(list->end(), std::make_move_iterator(decoded.begin()),
-                 std::make_move_iterator(decoded.end()));
-    return Status::OK();
-  }
-  if (version != kPostingFormatPrefixDelta) {
-    return Status::Corruption("postings: unsupported format version " +
-                              std::to_string(version));
-  }
-  uint32_t count = 0;
-  if (!GetVarint32(&p, limit, &count)) {
-    return Status::Corruption("postings: bad count");
-  }
-  // `count` is untrusted input. Every posting costs at least 3 encoded
-  // bytes (three one-byte varints), so a count beyond remaining/3 cannot
-  // possibly be honoured — reject it outright rather than letting
-  // reserve() attempt a multi-GB allocation on a corrupt record.
-  size_t remaining = static_cast<size_t>(limit - p);
-  if (count > remaining / 3) {
-    return Status::Corruption("postings: count " + std::to_string(count) +
-                              " exceeds record capacity (" +
-                              std::to_string(remaining) + " bytes)");
-  }
-  list->reserve(count);
-  std::vector<uint32_t> components;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t type = 0;
-    uint32_t reuse = 0;
-    uint32_t fresh = 0;
-    if (!GetVarint32(&p, limit, &type) || !GetVarint32(&p, limit, &reuse) ||
-        !GetVarint32(&p, limit, &fresh)) {
-      return Status::Corruption("postings: truncated header");
-    }
-    if (reuse > components.size()) {
-      return Status::Corruption("postings: reuse exceeds previous depth");
-    }
-    components.resize(reuse);
-    for (uint32_t d = 0; d < fresh; ++d) {
-      uint32_t c = 0;
-      if (!GetVarint32(&p, limit, &c)) {
-        return Status::Corruption("postings: truncated dewey");
-      }
-      components.push_back(c);
-    }
-    list->push_back(Posting{xml::Dewey(components), type});
-  }
-  // Bytes past the declared postings are corruption, exactly as in the
-  // blocked (v3) reader — without this, a damaged record could pass here
-  // yet fail DecodePostingsFlat, and which error a caller sees would
-  // depend on which decode path happened to serve it.
-  if (p != limit) {
-    return Status::Corruption("postings: record has trailing bytes");
-  }
-  return Status::OK();
-}
-
-Status DecodePostingCount(std::string_view data_prefix, uint32_t* count) {
-  const char* p = data_prefix.data();
-  const char* limit = data_prefix.data() + data_prefix.size();
-  if (p >= limit) return Status::Corruption("postings: empty record");
-  uint8_t version = static_cast<uint8_t>(*p++);
-  if (version != kPostingFormatPrefixDelta && version != kPostingFormatBlocked) {
-    return Status::Corruption("postings: unsupported format version " +
-                              std::to_string(version));
-  }
-  // Both formats place the total posting count immediately after the
-  // version byte.
-  if (!GetVarint32(&p, limit, count)) {
-    return Status::Corruption("postings: bad count");
-  }
-  return Status::OK();
-}
 
 namespace {
 
@@ -354,8 +236,7 @@ Status DeleteStaleKeys(storage::KVStore* store, std::string_view prefix,
 
 }  // namespace
 
-Status SaveCorpus(const IndexedCorpus& corpus, storage::KVStore* store,
-                  PostingFormat format) {
+Status SaveCorpus(const IndexedCorpus& corpus, storage::KVStore* store) {
   // Saving over a previously saved, larger corpus must not leave stale
   // inverted lists or frequent-table rows behind: a reload would resurrect
   // keywords the new corpus never contained.
@@ -374,7 +255,7 @@ Status SaveCorpus(const IndexedCorpus& corpus, storage::KVStore* store,
                  EncodeTypeStats(corpus.stats(), corpus.types().size())));
   for (const auto& [keyword, list] : corpus.index().lists()) {
     XREFINE_RETURN_IF_ERROR(
-        store->Put(InvertedListKey(keyword), EncodePostings(list, format)));
+        store->Put(InvertedListKey(keyword), EncodePostingsBlocked(list)));
   }
   for (const auto& [keyword, row] : corpus.stats().per_keyword()) {
     XREFINE_RETURN_IF_ERROR(
@@ -441,15 +322,11 @@ StatusOr<std::unique_ptr<IndexedCorpus>> LoadCorpus(
   for (cursor.Seek(inverted_prefix); cursor.Valid(); cursor.Next()) {
     std::string_view key = cursor.key();
     if (key.substr(0, 2) != std::string_view(inverted_prefix)) break;
-    std::string keyword(key.substr(2));
-    PostingList list;
     std::string value = cursor.value();
     Metrics().list_fetches->Increment();
     Metrics().bytes_decoded->Increment(value.size());
-    XREFINE_RETURN_IF_ERROR(DecodePostings(value, &list));
-    for (Posting& p : list) {
-      corpus->mutable_index().Append(keyword, std::move(p));
-    }
+    XREFINE_RETURN_IF_ERROR(DecodePostingsFlat(
+        value, corpus->mutable_index().MutableList(key.substr(2))));
   }
   // Valid() going false means either "past the last key" or "a page fetch
   // failed mid-scan"; only the cursor's sticky status tells them apart.

@@ -30,40 +30,17 @@ std::string FreqRowKey(std::string_view keyword);
 /// key and fall back to the eager head scan).
 std::string BloomMetaKey();
 
-/// On-disk posting encodings. kBlocked (format version 3, the default) is
-/// the block-compressed layout of index/posting_blocks.h; kPrefixDelta
-/// (version 2) is the flat layout older stores used — kept writable behind
-/// this flag for ablation benchmarks. Readers accept both.
-enum class PostingFormat {
-  kPrefixDelta,
-  kBlocked,
-};
-
-/// Encodes a posting list in the requested store format.
-std::string EncodePostings(const PostingList& list,
-                           PostingFormat format = PostingFormat::kBlocked);
-
-/// Decodes a stored inverted-list record. Resilient to corrupt input: every
-/// count and length is validated against the remaining bytes before being
-/// trusted (a hostile `count` must not drive a multi-GB reserve).
-[[nodiscard]] Status DecodePostings(std::string_view data, PostingList* list);
-
-/// Reads only the posting count from a record's first bytes (the version
-/// byte plus one varint — at most 6 bytes of input), without decoding the
-/// list. Used to size vocabularies cheaply.
-[[nodiscard]] Status DecodePostingCount(std::string_view data_prefix,
-                                        uint32_t* count);
-
 /// Writes the corpus into `store` and flushes it. A non-empty store is
 /// first cleared of inverted-list and frequent-table keys that the new
 /// corpus does not contain — without this, saving a smaller corpus over a
 /// larger one would leave stale keywords that a reload resurrects.
+/// Inverted lists are written in the blocked format (posting_blocks.h).
 [[nodiscard]] Status SaveCorpus(const IndexedCorpus& corpus,
-                                storage::KVStore* store,
-                                PostingFormat format = PostingFormat::kBlocked);
+                                storage::KVStore* store);
 
 /// Reads a corpus back. The result has no Document attached; queries still
 /// run (results are Dewey labels), but subtree snippets are unavailable.
+/// A record in any format but version 3 fails the load with Corruption.
 [[nodiscard]] StatusOr<std::unique_ptr<IndexedCorpus>> LoadCorpus(
     const storage::KVStore& store);
 

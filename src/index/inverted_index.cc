@@ -4,21 +4,9 @@
 
 namespace xrefine::index {
 
-void InvertedIndex::Append(std::string_view keyword, Posting posting) {
-  lists_[std::string(keyword)].push_back(std::move(posting));
-}
-
-const PostingList* InvertedIndex::Find(std::string_view keyword) const {
-  auto it = lists_.find(std::string(keyword));
-  return it == lists_.end() ? nullptr : &it->second;
-}
-
-const FlatPostingList* InvertedIndex::FindFlat(std::string_view keyword) const {
-  const PostingList* list = Find(keyword);
-  if (list == nullptr) return nullptr;
-  MutexLock lock(&flat_mu_);
-  auto [it, inserted] = flat_lists_.try_emplace(std::string(keyword));
-  if (inserted) it->second = FlatPostingList::FromPostings(*list);
+FlatPostingList* InvertedIndex::MutableList(std::string_view keyword) {
+  auto it = lists_.find(keyword);
+  if (it == lists_.end()) it = lists_.try_emplace(std::string(keyword)).first;
   return &it->second;
 }
 

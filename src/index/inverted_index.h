@@ -8,49 +8,47 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_annotations.h"
+#include "common/string_util.h"
 #include "index/flat_postings.h"
-#include "index/posting.h"
 
 namespace xrefine::index {
 
 class InvertedIndex {
  public:
+  /// Keyword -> list, probed by string_view without allocating.
+  using ListMap = std::unordered_map<std::string, FlatPostingList,
+                                     StringViewHash, std::equal_to<>>;
+
   InvertedIndex() = default;
 
-  /// Appends a posting; the builder appends in document order, and the
-  /// same node is recorded once per keyword (occurrence counts live in the
-  /// statistics table).
-  void Append(std::string_view keyword, Posting posting);
+  /// Appends a posting to `keyword`'s list; the builder appends in document
+  /// order, and the same node is recorded once per keyword (occurrence
+  /// counts live in the statistics table).
+  void Append(std::string_view keyword, const xml::DeweyRef& label,
+              xml::TypeId type) {
+    MutableList(keyword)->Append(label, type);
+  }
 
   /// The posting list for `keyword`, or nullptr when the keyword does not
   /// occur in the corpus.
-  const PostingList* Find(std::string_view keyword) const;
-
-  /// The mutable list for `keyword`, created empty when absent. Build-path
-  /// only (the DAG index builder resolves each distinct keyword to its list
-  /// once per shared subtree, then appends per instance without re-hashing
-  /// the keyword); the pointer is stable for the index's lifetime
-  /// (unordered_map nodes never move).
-  PostingList* MutableList(std::string_view keyword) {
-    return &lists_.try_emplace(std::string(keyword)).first->second;
+  const FlatPostingList* Find(std::string_view keyword) const {
+    auto it = lists_.find(keyword);
+    return it == lists_.end() ? nullptr : &it->second;
   }
 
-  /// The keyword's list in the columnar serving layout, or nullptr when
-  /// absent. Built lazily from the AoS list on first request per keyword
-  /// and memoized (unordered_map node stability keeps returned pointers
-  /// valid for the index's lifetime). Thread-safe; the builder only
-  /// Appends before any serving starts, so a memoized flat list never goes
-  /// stale.
-  const FlatPostingList* FindFlat(std::string_view keyword) const
-      EXCLUDES(flat_mu_);
+  /// The mutable list for `keyword`, created empty when absent. Build and
+  /// load paths only (the DAG index builder resolves each distinct keyword
+  /// to its list once per shared subtree, then appends per instance without
+  /// re-hashing the keyword); the pointer is stable for the index's
+  /// lifetime (unordered_map nodes never move).
+  FlatPostingList* MutableList(std::string_view keyword);
 
   bool Contains(std::string_view keyword) const {
     return Find(keyword) != nullptr;
   }
 
   size_t ListSize(std::string_view keyword) const {
-    const PostingList* list = Find(keyword);
+    const FlatPostingList* list = Find(keyword);
     return list == nullptr ? 0 : list->size();
   }
 
@@ -66,16 +64,10 @@ class InvertedIndex {
   /// Sorted vocabulary (materialised on demand; used by rule mining).
   std::vector<std::string> Vocabulary() const;
 
-  const std::unordered_map<std::string, PostingList>& lists() const {
-    return lists_;
-  }
+  const ListMap& lists() const { return lists_; }
 
  private:
-  std::unordered_map<std::string, PostingList> lists_;
-  // Flat mirror of lists_, filled on demand by FindFlat.
-  mutable Mutex flat_mu_;
-  mutable std::unordered_map<std::string, FlatPostingList> flat_lists_
-      GUARDED_BY(flat_mu_);
+  ListMap lists_;
 };
 
 }  // namespace xrefine::index

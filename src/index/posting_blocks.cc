@@ -11,28 +11,53 @@ namespace {
 using storage::GetVarint32;
 using storage::PutVarint32;
 
-constexpr uint8_t kFormatPrefixDelta = 2;
 constexpr uint8_t kFormatBlocked = 3;
 
-// Appends one posting to `dst` in prefix-delta form relative to `prev`
-// (nullptr for a block's first posting).
-void PutDeltaPosting(std::string* dst, const Posting& p, const xml::Dewey* prev) {
-  uint32_t reuse = 0;
-  if (prev != nullptr) {
-    size_t limit = std::min(prev->depth(), p.dewey.depth());
-    while (reuse < limit && (*prev)[reuse] == p.dewey[reuse]) ++reuse;
-  }
-  PutVarint32(dst, p.type);
+// A label component no valid record holds (see the header comment).
+constexpr uint32_t kMaxComponent = 0xffffffffu;
+
+// Appends one posting to `dst` in prefix-delta form: `reuse` leading
+// components are shared with the previous posting in the block (0 for a
+// block's first posting).
+void PutDeltaPosting(std::string* dst, const xml::DeweyRef& label,
+                     xml::TypeId type, uint32_t reuse) {
+  PutVarint32(dst, type);
   PutVarint32(dst, reuse);
-  PutVarint32(dst, static_cast<uint32_t>(p.dewey.depth()) - reuse);
-  for (size_t d = reuse; d < p.dewey.depth(); ++d) PutVarint32(dst, p.dewey[d]);
+  PutVarint32(dst, label.len - reuse);
+  for (uint32_t d = reuse; d < label.len; ++d) PutVarint32(dst, label[d]);
 }
 
-// Decodes `count` prefix-delta postings from [*p, payload_limit) into `out`.
-// `scratch` carries the previous label across postings (cleared by the
-// caller at block boundaries for v3, or once per record for v2).
+// Reads a record's version byte, which must be kFormatBlocked, and the
+// total posting count after it.
+Status ReadRecordHead(const char** p, const char* limit, uint32_t* total) {
+  if (*p >= limit) return Status::Corruption("postings: empty record");
+  uint8_t version = static_cast<uint8_t>(*(*p)++);
+  if (version != kFormatBlocked) {
+    return Status::Corruption("postings: unsupported format version " +
+                              std::to_string(version));
+  }
+  if (!GetVarint32(p, limit, total)) {
+    return Status::Corruption("postings: bad count");
+  }
+  return Status::OK();
+}
+
+// Reads one label component, rejecting kMaxComponent.
+Status GetComponent(const char** p, const char* limit, uint32_t* c) {
+  if (!GetVarint32(p, limit, c)) {
+    return Status::Corruption("postings: truncated dewey");
+  }
+  if (*c == kMaxComponent) {
+    return Status::Corruption("postings: dewey component out of range");
+  }
+  return Status::OK();
+}
+
+// Decodes one block's `count` prefix-delta postings from
+// [*p, payload_limit) into `out`.
 Status DecodeDeltaRun(const char** p, const char* payload_limit, uint32_t count,
-                      std::vector<uint32_t>* scratch, FlatPostingList* out) {
+                      FlatPostingList* out) {
+  std::vector<uint32_t> label;  // the previous posting's label
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t type = 0;
     uint32_t reuse = 0;
@@ -42,27 +67,24 @@ Status DecodeDeltaRun(const char** p, const char* payload_limit, uint32_t count,
         !GetVarint32(p, payload_limit, &fresh)) {
       return Status::Corruption("postings: truncated header");
     }
-    if (reuse > scratch->size()) {
+    if (reuse > label.size()) {
       return Status::Corruption("postings: reuse exceeds previous depth");
     }
-    scratch->resize(reuse);
+    label.resize(reuse);
     for (uint32_t d = 0; d < fresh; ++d) {
       uint32_t c = 0;
-      if (!GetVarint32(p, payload_limit, &c)) {
-        return Status::Corruption("postings: truncated dewey");
-      }
-      scratch->push_back(c);
+      XREFINE_RETURN_IF_ERROR(GetComponent(p, payload_limit, &c));
+      label.push_back(c);
     }
-    out->Append(xml::DeweyRef(scratch->data(),
-                              static_cast<uint32_t>(scratch->size())),
-                type);
+    out->Append(
+        xml::DeweyRef(label.data(), static_cast<uint32_t>(label.size())), type);
   }
   return Status::OK();
 }
 
 }  // namespace
 
-std::string EncodePostingsBlocked(const PostingList& list,
+std::string EncodePostingsBlocked(const FlatPostingList& list,
                                   size_t block_capacity) {
   if (block_capacity == 0) block_capacity = kDefaultPostingBlockCapacity;
   std::string out;
@@ -73,16 +95,18 @@ std::string EncodePostingsBlocked(const PostingList& list,
   for (size_t begin = 0; begin < list.size(); begin += block_capacity) {
     size_t end = std::min(begin + block_capacity, list.size());
     payload.clear();
-    const xml::Dewey* prev = nullptr;
     for (size_t i = begin; i < end; ++i) {
-      PutDeltaPosting(&payload, list[i], prev);
-      prev = &list[i].dewey;
+      size_t reuse = i == begin ? 0
+                                : xml::CommonPrefixDepth(list.label(i - 1),
+                                                         list.label(i));
+      PutDeltaPosting(&payload, list.label(i), list.type(i),
+                      static_cast<uint32_t>(reuse));
     }
     PutVarint32(&out, static_cast<uint32_t>(payload.size()));
     PutVarint32(&out, static_cast<uint32_t>(end - begin));
-    const xml::Dewey& max = list[end - 1].dewey;
-    PutVarint32(&out, static_cast<uint32_t>(max.depth()));
-    for (size_t d = 0; d < max.depth(); ++d) PutVarint32(&out, max[d]);
+    xml::DeweyRef max = list.label(end - 1);
+    PutVarint32(&out, max.len);
+    for (uint32_t d = 0; d < max.len; ++d) PutVarint32(&out, max[d]);
     out += payload;
   }
   return out;
@@ -94,15 +118,10 @@ StatusOr<BlockedPostingCursor> BlockedPostingCursor::Open(
   cursor.data_ = data;
   const char* p = data.data();
   const char* limit = data.data() + data.size();
-  if (p >= limit) return Status::Corruption("postings: empty record");
-  uint8_t version = static_cast<uint8_t>(*p++);
-  if (version != kFormatBlocked) {
-    return Status::Corruption("postings: unsupported format version " +
-                              std::to_string(version));
-  }
   uint32_t total = 0;
+  XREFINE_RETURN_IF_ERROR(ReadRecordHead(&p, limit, &total));
   uint32_t capacity = 0;
-  if (!GetVarint32(&p, limit, &total) || !GetVarint32(&p, limit, &capacity)) {
+  if (!GetVarint32(&p, limit, &capacity)) {
     return Status::Corruption("postings: bad record header");
   }
   if (capacity == 0) {
@@ -132,9 +151,7 @@ StatusOr<BlockedPostingCursor> BlockedPostingCursor::Open(
     meta.max_len = max_depth;
     for (uint32_t d = 0; d < max_depth; ++d) {
       uint32_t c = 0;
-      if (!GetVarint32(&p, limit, &c)) {
-        return Status::Corruption("postings: truncated block max label");
-      }
+      XREFINE_RETURN_IF_ERROR(GetComponent(&p, limit, &c));
       cursor.max_components_.push_back(c);
     }
     if (payload_bytes > static_cast<size_t>(limit - p)) {
@@ -186,9 +203,7 @@ Status BlockedPostingCursor::DecodeBlock(size_t b, FlatPostingList* out) const {
   const BlockMeta& meta = blocks_[b];
   const char* p = data_.data() + meta.payload_offset;
   const char* payload_limit = p + meta.payload_bytes;
-  std::vector<uint32_t> scratch;
-  XREFINE_RETURN_IF_ERROR(
-      DecodeDeltaRun(&p, payload_limit, meta.count, &scratch, out));
+  XREFINE_RETURN_IF_ERROR(DecodeDeltaRun(&p, payload_limit, meta.count, out));
   if (p != payload_limit) {
     return Status::Corruption("postings: block payload has trailing bytes");
   }
@@ -207,39 +222,16 @@ Status BlockedPostingCursor::DecodeAll(FlatPostingList* out) const {
   return Status::OK();
 }
 
+Status DecodePostingCount(std::string_view data_prefix, uint32_t* count) {
+  const char* p = data_prefix.data();
+  return ReadRecordHead(&p, data_prefix.data() + data_prefix.size(), count);
+}
+
 Status DecodePostingsFlat(std::string_view data, FlatPostingList* out) {
-  const char* p = data.data();
-  const char* limit = data.data() + data.size();
-  if (p >= limit) return Status::Corruption("postings: empty record");
-  uint8_t version = static_cast<uint8_t>(*p);
-  if (version == kFormatBlocked) {
-    auto cursor_or = BlockedPostingCursor::Open(data);
-    if (!cursor_or.ok()) return cursor_or.status();
-    out->Reserve(cursor_or.value().posting_count(), 0);
-    return cursor_or.value().DecodeAll(out);
-  }
-  if (version != kFormatPrefixDelta) {
-    return Status::Corruption("postings: unsupported format version " +
-                              std::to_string(version));
-  }
-  ++p;
-  uint32_t count = 0;
-  if (!GetVarint32(&p, limit, &count)) {
-    return Status::Corruption("postings: bad count");
-  }
-  size_t remaining = static_cast<size_t>(limit - p);
-  if (count > remaining / 3) {
-    return Status::Corruption("postings: count " + std::to_string(count) +
-                              " exceeds record capacity (" +
-                              std::to_string(remaining) + " bytes)");
-  }
-  out->Reserve(count, 0);
-  std::vector<uint32_t> scratch;
-  XREFINE_RETURN_IF_ERROR(DecodeDeltaRun(&p, limit, count, &scratch, out));
-  if (p != limit) {
-    return Status::Corruption("postings: record has trailing bytes");
-  }
-  return Status::OK();
+  auto cursor_or = BlockedPostingCursor::Open(data);
+  if (!cursor_or.ok()) return cursor_or.status();
+  out->Reserve(out->size() + cursor_or.value().posting_count(), 0);
+  return cursor_or.value().DecodeAll(out);
 }
 
 }  // namespace xrefine::index

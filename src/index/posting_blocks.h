@@ -1,4 +1,6 @@
-// Block-compressed posting-list codec (stored format version 3).
+// Block-compressed posting-list codec: stored format version 3, the only
+// format a store holds. Any other version byte — including the flat
+// prefix-delta version 2 that stores once used — is Corruption.
 //
 // A record is a sequence of fixed-capacity blocks of prefix-delta postings.
 // Each block is self-contained (its first posting carries the full label)
@@ -21,9 +23,11 @@
 // Every count and length is validated against the remaining bytes, a block
 // must decode to exactly its declared posting count consuming exactly its
 // declared payload bytes, the per-block counts must sum to the record's
-// total, and trailing bytes after the last block are corruption — a
-// truncated or bit-flipped record yields a non-OK Status, never a silently
-// short list.
+// total, trailing bytes after the last block are corruption, and so is a
+// label component of 2^32-1 (no builder emits one: child ordinals stay
+// below the node count, and the scan loops bound a partition by
+// incrementing a component) — a truncated or bit-flipped record yields a
+// non-OK Status, never a silently short list.
 #ifndef XREFINE_INDEX_POSTING_BLOCKS_H_
 #define XREFINE_INDEX_POSTING_BLOCKS_H_
 
@@ -34,7 +38,6 @@
 
 #include "common/statusor.h"
 #include "index/flat_postings.h"
-#include "index/posting.h"
 #include "xml/dewey.h"
 
 namespace xrefine::index {
@@ -45,13 +48,13 @@ inline constexpr size_t kDefaultPostingBlockCapacity = 128;
 
 /// Encodes `list` in the block format.
 std::string EncodePostingsBlocked(
-    const PostingList& list,
+    const FlatPostingList& list,
     size_t block_capacity = kDefaultPostingBlockCapacity);
 
 /// Lazy reader over an encoded block record. Opening parses only the record
 /// header and the per-block headers (payload length, count, max label) into
 /// a skip directory; payloads are decoded on demand, one block at a time,
-/// instead of materialising the whole PostingList. `data` must outlive the
+/// instead of materialising the whole list. `data` must outlive the
 /// cursor.
 class BlockedPostingCursor {
  public:
@@ -84,7 +87,7 @@ class BlockedPostingCursor {
   /// consumes exactly the declared bytes.
   [[nodiscard]] Status DecodeBlock(size_t b, FlatPostingList* out) const;
 
-  /// Decodes every block in order (the eager path DecodePostings uses).
+  /// Decodes every block in order (the eager path DecodePostingsFlat uses).
   [[nodiscard]] Status DecodeAll(FlatPostingList* out) const;
 
  private:
@@ -105,9 +108,16 @@ class BlockedPostingCursor {
   std::vector<uint32_t> max_components_;  // all block-max labels, flattened
 };
 
-/// Decodes a stored posting record of either format — v2 (flat
-/// prefix-delta) or v3 (blocked) — straight into the columnar layout with
-/// zero per-posting allocations. This is the serving decode path.
+/// Reads only the posting count from a record's first bytes (the version
+/// byte plus one varint — at most 6 bytes of input), without decoding the
+/// list. Used to size vocabularies cheaply. Rejects every version but 3,
+/// as DecodePostingsFlat does.
+[[nodiscard]] Status DecodePostingCount(std::string_view data_prefix,
+                                        uint32_t* count);
+
+/// Decodes a stored posting record straight into the columnar layout with
+/// zero per-posting allocations, appending to `out`: the one decoder, used
+/// by the store-backed source and LoadCorpus alike.
 [[nodiscard]] Status DecodePostingsFlat(std::string_view data,
                                         FlatPostingList* out);
 

@@ -13,7 +13,7 @@
 // The payload encodings reuse the storage serde helpers (little-endian
 // fixed ints, LEB128 varints, length-prefixed strings). Every decoder
 // treats its input as hostile: all reads are bounds-checked, claimed
-// counts are clamped before any reserve (the DecodePostings reserve-bomb
+// counts are clamped before any reserve (the posting decoder's reserve-bomb
 // rule), and a frame that decodes OK re-encodes to the same bytes — the
 // fixpoint the fuzz_frame harness checks.
 #ifndef XREFINE_SERVER_FRAME_H_

@@ -23,7 +23,7 @@ std::vector<SlcaResult> ComputeSlcaForQuery(
   std::vector<PostingSpan> lists;
   lists.reserve(query.size());
   for (const std::string& k : query) {
-    const index::FlatPostingList* list = index.FindFlat(k);
+    const index::FlatPostingList* list = index.Find(k);
     if (list == nullptr) return {};  // conjunctive semantics
     lists.emplace_back(*list);
   }

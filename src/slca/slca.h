@@ -22,6 +22,12 @@ enum class SlcaAlgorithm {
   kIndexedLookup,  // binary-search matches (XKSearch ILE)
 };
 
+/// The SLCA kernel every refinement algorithm and XRefineOptions default
+/// to: Indexed Lookup Eager with galloping resume-hint probes
+/// (slca_common.h). The others stay as the paper's baselines.
+inline constexpr SlcaAlgorithm kDefaultSlcaAlgorithm =
+    SlcaAlgorithm::kIndexedLookup;
+
 /// Dispatches to the chosen algorithm.
 std::vector<SlcaResult> ComputeSlca(const std::vector<PostingSpan>& lists,
                                     const xml::NodeTypeTable& types,

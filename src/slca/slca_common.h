@@ -13,7 +13,6 @@
 
 #include "common/metrics.h"
 #include "index/flat_postings.h"
-#include "index/posting.h"
 #include "xml/dewey.h"
 #include "xml/node_type.h"
 

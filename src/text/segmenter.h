@@ -9,6 +9,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace xrefine::text {
 
 /// Splits merged tokens against a vocabulary.
@@ -17,12 +19,6 @@ class Segmenter {
   // Transparent hashing lets the DP in Segment() probe with string_view
   // substrings directly — no per-probe std::string allocation in the
   // O(n * 64) inner loop.
-  struct StringViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
   using Vocabulary =
       std::unordered_set<std::string, StringViewHash, std::equal_to<>>;
 

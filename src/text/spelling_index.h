@@ -25,6 +25,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace xrefine::text {
 
 class SpellingIndex {
@@ -60,19 +62,11 @@ class SpellingIndex {
   size_t approximate_bytes() const;
 
  private:
-  // Transparent hashing: probes use string_view variants without
-  // materialising a std::string per probe.
-  struct StringViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   const std::vector<std::string>* words_;  // not owned
   int max_edit_distance_;
   // Deletion variant -> ids of words whose neighborhood contains it,
-  // each list sorted ascending (words are inserted in id order).
+  // each list sorted ascending (words are inserted in id order). Probed
+  // with string_view variants through the transparent hash.
   std::unordered_map<std::string, std::vector<uint32_t>, StringViewHash,
                      std::equal_to<>>
       buckets_;

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
 #include "text/segmenter.h"
 #include "text/spelling_index.h"
 
@@ -52,13 +53,6 @@ class VocabularyIndex {
 
  private:
   VocabularyIndex() = default;
-
-  struct StringViewHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
 
   std::vector<std::string> words_;
   // Porter stem -> ids of words sharing it, ascending.

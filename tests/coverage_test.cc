@@ -18,13 +18,13 @@ using slca::PostingSpan;
 using testutil::MakeFigure1Corpus;
 
 index::FlatPostingList MakeList(const std::vector<std::string>& deweys) {
-  index::PostingList list;
+  index::FlatPostingList list;
   for (const auto& d : deweys) {
     auto parsed = xml::Dewey::Parse(d);
     EXPECT_TRUE(parsed.ok());
-    list.push_back(index::Posting{std::move(parsed).value(), 0});
+    list.Append(parsed.value(), 0);
   }
-  return index::FlatPostingList::FromPostings(list);
+  return list;
 }
 
 TEST(SlcaCommonTest, LeftMatchFindsRightmostNotAfter) {
@@ -210,20 +210,18 @@ TEST(BuiltInLexiconTest, SynonymRelationIsSymmetric) {
 
 TEST(PostingSpanTest, ViewsMatchUnderlyingList) {
   auto corpus = MakeFigure1Corpus();
-  const index::PostingList* list = corpus.index->index().Find("xml");
+  const index::FlatPostingList* list = corpus.index->index().Find("xml");
   ASSERT_NE(list, nullptr);
-  const index::FlatPostingList* flat = corpus.index->index().FindFlat("xml");
-  ASSERT_NE(flat, nullptr);
-  PostingSpan span(*flat);
+  PostingSpan span(*list);
   ASSERT_EQ(span.size, list->size());
   for (size_t i = 0; i < span.size; ++i) {
-    EXPECT_EQ(span.label(i).ToDewey(), (*list)[i].dewey);
-    EXPECT_EQ(span.type(i), (*list)[i].type);
+    EXPECT_EQ(span.label(i), list->label(i));
+    EXPECT_EQ(span.type(i), list->type(i));
   }
   PostingSpan sub = span.Sub(1, span.size - 1);
   EXPECT_EQ(sub.size, span.size - 1);
-  EXPECT_EQ(sub.label(0).ToDewey(), (*list)[1].dewey);
-  EXPECT_EQ(sub.type(0), (*list)[1].type);
+  EXPECT_EQ(sub.label(0), list->label(1));
+  EXPECT_EQ(sub.type(0), list->type(1));
 }
 
 }  // namespace

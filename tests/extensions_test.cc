@@ -88,7 +88,7 @@ std::vector<std::string> RunElca(const testutil::Corpus& corpus,
                                  const std::vector<std::string>& q) {
   std::vector<PostingSpan> lists;
   for (const auto& k : q) {
-    const index::FlatPostingList* list = corpus.index->index().FindFlat(k);
+    const index::FlatPostingList* list = corpus.index->index().Find(k);
     if (list == nullptr) return {};
     lists.emplace_back(*list);
   }
@@ -160,7 +160,7 @@ TEST_P(ElcaDifferentialTest, MatchesBruteForce) {
       std::vector<PostingSpan> lists;
       bool missing = false;
       for (const auto& k : q) {
-        const index::FlatPostingList* list = corpus->index().FindFlat(k);
+        const index::FlatPostingList* list = corpus->index().Find(k);
         if (list == nullptr) {
           missing = true;
           break;

@@ -27,24 +27,24 @@ class IndexBuilderTest : public ::testing::Test {
 };
 
 TEST_F(IndexBuilderTest, PostingListsAreDocumentOrdered) {
-  const PostingList* xml_list = corpus_.index->index().Find("xml");
+  const FlatPostingList* xml_list = corpus_.index->index().Find("xml");
   ASSERT_NE(xml_list, nullptr);
   ASSERT_EQ(xml_list->size(), 2u);
-  EXPECT_EQ((*xml_list)[0].dewey.ToString(), "0.0.1.0.0");
-  EXPECT_EQ((*xml_list)[1].dewey.ToString(), "0.0.1.1.0");
+  EXPECT_EQ(xml_list->DeweyAt(0).ToString(), "0.0.1.0.0");
+  EXPECT_EQ(xml_list->DeweyAt(1).ToString(), "0.0.1.1.0");
   for (const auto& [keyword, list] : corpus_.index->index().lists()) {
     for (size_t i = 0; i + 1 < list.size(); ++i) {
-      EXPECT_TRUE(list[i].dewey < list[i + 1].dewey) << keyword;
+      EXPECT_TRUE(list.label(i) < list.label(i + 1)) << keyword;
     }
   }
 }
 
 TEST_F(IndexBuilderTest, TagNamesAreIndexed) {
-  const PostingList* authors = corpus_.index->index().Find("author");
+  const FlatPostingList* authors = corpus_.index->index().Find("author");
   ASSERT_NE(authors, nullptr);
   ASSERT_EQ(authors->size(), 2u);
-  EXPECT_EQ((*authors)[0].dewey.ToString(), "0.0");
-  EXPECT_EQ((*authors)[1].dewey.ToString(), "0.1");
+  EXPECT_EQ(authors->DeweyAt(0).ToString(), "0.0");
+  EXPECT_EQ(authors->DeweyAt(1).ToString(), "0.1");
 }
 
 TEST_F(IndexBuilderTest, TagIndexingCanBeDisabled) {
@@ -180,11 +180,14 @@ TEST(IndexStoreTest, SaveLoadRoundTripPreservesEverything) {
   ASSERT_EQ(loaded->index().keyword_count(),
             corpus.index->index().keyword_count());
   for (const auto& [keyword, list] : corpus.index->index().lists()) {
-    const PostingList* loaded_list = loaded->index().Find(keyword);
+    const FlatPostingList* loaded_list = loaded->index().Find(keyword);
     ASSERT_NE(loaded_list, nullptr) << keyword;
     ASSERT_EQ(loaded_list->size(), list.size()) << keyword;
     for (size_t i = 0; i < list.size(); ++i) {
-      EXPECT_EQ((*loaded_list)[i], list[i]) << keyword << "[" << i << "]";
+      EXPECT_EQ(loaded_list->label(i), list.label(i))
+          << keyword << "[" << i << "]";
+      EXPECT_EQ(loaded_list->type(i), list.type(i))
+          << keyword << "[" << i << "]";
     }
   }
 

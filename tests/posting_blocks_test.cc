@@ -1,29 +1,33 @@
-// Tests for the block-compressed posting codec (stored format v3) and the
-// flat decode path shared with v2: round-trips, block geometry, the skip
-// directory, and — the load-bearing part — corruption fuzzing. The decode
-// contract is "non-OK Status or exactly the declared postings": a truncated
-// or bit-flipped record must never yield a silently short list.
+// Tests for the block-compressed posting codec (stored format v3, the only
+// format a store holds): round-trips, block geometry, the skip directory,
+// and — the load-bearing part — corruption fuzzing. The decode contract is
+// "non-OK Status or exactly the declared postings": a truncated or
+// bit-flipped record must never yield a silently short list, and a record
+// in the retired v2 layout is rejected outright.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "index/index_store.h"
 #include "index/posting_blocks.h"
 #include "storage/serde.h"
+#include "tests/test_helpers.h"
 
 namespace xrefine::index {
 namespace {
 
-Posting P(std::vector<uint32_t> comps, xml::TypeId type = 0) {
-  return Posting{xml::Dewey(std::move(comps)), type};
+// A list of the given labels, all of type 0.
+FlatPostingList ListOf(const std::vector<std::vector<uint32_t>>& labels) {
+  FlatPostingList list;
+  for (const auto& label : labels) list.Append(xml::Dewey(label), 0);
+  return list;
 }
 
 // A random document-ordered posting list with deep chains, duplicate
 // labels, and ancestor/descendant pairs in the same list.
-PostingList RandomList(Random& rng, size_t n, size_t max_depth) {
-  PostingList list;
+FlatPostingList RandomList(Random& rng, size_t n, size_t max_depth) {
+  FlatPostingList list;
   std::vector<uint32_t> label = {0};
   for (size_t i = 0; i < n; ++i) {
     // Random walk in document order: either descend (append components),
@@ -39,35 +43,33 @@ PostingList RandomList(Random& rng, size_t n, size_t max_depth) {
       label.resize(cut);
       label.back() += static_cast<uint32_t>(rng.Uniform(1, 3));
     }
-    list.push_back(
-        Posting{xml::Dewey(label),
-                static_cast<xml::TypeId>(rng.Uniform(0, 7))});
+    list.Append(xml::Dewey(label),
+                static_cast<xml::TypeId>(rng.Uniform(0, 7)));
   }
   return list;
 }
 
-void ExpectRoundTrip(const PostingList& list, size_t block_capacity) {
+void ExpectRoundTrip(const FlatPostingList& list, size_t block_capacity) {
   std::string record = EncodePostingsBlocked(list, block_capacity);
   FlatPostingList flat;
   ASSERT_TRUE(DecodePostingsFlat(record, &flat).ok());
-  EXPECT_EQ(flat.ToPostings(), list);
-  // The AoS decode path serves the same bytes.
-  PostingList aos;
-  ASSERT_TRUE(DecodePostings(record, &aos).ok());
-  EXPECT_EQ(aos, list);
+  EXPECT_TRUE(flat == list);
+  uint32_t count = 0;
+  ASSERT_TRUE(DecodePostingCount(record, &count).ok());
+  EXPECT_EQ(count, list.size());
 }
 
 TEST(PostingBlocksTest, RoundTripAcrossCapacities) {
   Random rng(7);
-  PostingList list = RandomList(rng, 1000, 12);
+  FlatPostingList list = RandomList(rng, 1000, 12);
   for (size_t capacity : {1u, 2u, 3u, 7u, 128u, 2048u}) {
     ExpectRoundTrip(list, capacity);
   }
 }
 
 TEST(PostingBlocksTest, RoundTripEmptyList) {
-  ExpectRoundTrip(PostingList{}, 128);
-  std::string record = EncodePostingsBlocked(PostingList{});
+  ExpectRoundTrip(FlatPostingList{}, 128);
+  std::string record = EncodePostingsBlocked(FlatPostingList{});
   auto cursor_or = BlockedPostingCursor::Open(record);
   ASSERT_TRUE(cursor_or.ok());
   EXPECT_EQ(cursor_or.value().posting_count(), 0u);
@@ -75,9 +77,9 @@ TEST(PostingBlocksTest, RoundTripEmptyList) {
 }
 
 TEST(PostingBlocksTest, RoundTripSinglePosting) {
-  ExpectRoundTrip({P({0, 3, 1})}, 128);
+  ExpectRoundTrip(ListOf({{0, 3, 1}}), 128);
   // Root (depth-0) label is representable too.
-  ExpectRoundTrip({P({})}, 128);
+  ExpectRoundTrip(ListOf({{}}), 128);
 }
 
 TEST(PostingBlocksTest, RoundTripMaxDepthLabel) {
@@ -85,7 +87,7 @@ TEST(PostingBlocksTest, RoundTripMaxDepthLabel) {
   // 512). deep starts with 0, so document order is {0} < deep < {1}.
   std::vector<uint32_t> deep;
   for (uint32_t d = 0; d < 512; ++d) deep.push_back(d % 5);
-  PostingList list = {P({0}), P(deep), P({1})};
+  FlatPostingList list = ListOf({{0}, deep, {1}});
   for (size_t capacity : {1u, 2u, 128u}) ExpectRoundTrip(list, capacity);
 }
 
@@ -94,9 +96,9 @@ TEST(PostingBlocksTest, BlockBoundaryStraddle) {
   // deep shared prefix crossing the boundary so the first posting of each
   // block must re-carry the full label (blocks are self-contained).
   const size_t capacity = 4;
-  PostingList list;
+  FlatPostingList list;
   for (uint32_t i = 0; i < 2 * capacity + 1; ++i) {
-    list.push_back(P({0, 1, 2, 3, i}));
+    list.Append(xml::Dewey({0, 1, 2, 3, i}), 0);
   }
   std::string record = EncodePostingsBlocked(list, capacity);
   auto cursor_or = BlockedPostingCursor::Open(record);
@@ -115,15 +117,15 @@ TEST(PostingBlocksTest, BlockBoundaryStraddle) {
   ASSERT_TRUE(cursor.DecodeBlock(1, &middle).ok());
   ASSERT_EQ(middle.size(), capacity);
   for (size_t i = 0; i < capacity; ++i) {
-    EXPECT_EQ(middle.DeweyAt(i), list[capacity + i].dewey);
-    EXPECT_EQ(middle.type(i), list[capacity + i].type);
+    EXPECT_EQ(middle.label(i), list.label(capacity + i));
+    EXPECT_EQ(middle.type(i), list.type(capacity + i));
   }
   ExpectRoundTrip(list, capacity);
 }
 
 TEST(PostingBlocksTest, SkipHeadersRouteEveryLabelToItsBlock) {
   Random rng(17);
-  PostingList list = RandomList(rng, 700, 10);
+  FlatPostingList list = RandomList(rng, 700, 10);
   const size_t capacity = 16;
   std::string record = EncodePostingsBlocked(list, capacity);
   auto cursor_or = BlockedPostingCursor::Open(record);
@@ -133,13 +135,13 @@ TEST(PostingBlocksTest, SkipHeadersRouteEveryLabelToItsBlock) {
   // Each block's max label is its last posting's label.
   for (size_t b = 0; b < cursor.block_count(); ++b) {
     size_t last = cursor.block_first_posting(b) + cursor.block_size(b) - 1;
-    EXPECT_EQ(cursor.block_max(b).ToDewey(), list[last].dewey);
+    EXPECT_EQ(cursor.block_max(b), list.label(last));
   }
   // FindBlock lands every posting's own label in a block that contains an
   // occurrence of it (duplicates may end a block, putting later copies in
   // the next one — FindBlock returns the first block whose max >= v).
   for (size_t i = 0; i < list.size(); ++i) {
-    xml::DeweyRef v(list[i].dewey);
+    xml::DeweyRef v = list.label(i);
     size_t b = cursor.FindBlock(v);
     ASSERT_LT(b, cursor.block_count());
     FlatPostingList decoded;
@@ -161,8 +163,8 @@ TEST(PostingBlocksTest, SkipHeadersRouteEveryLabelToItsBlock) {
 
 // --- corruption fuzzing ------------------------------------------------------
 
-// Declared posting count at the head of a record (both formats place it
-// immediately after the version byte).
+// Declared posting count at the head of a record (it follows the version
+// byte).
 bool ReadDeclaredCount(const std::string& record, uint32_t* count) {
   if (record.empty()) return false;
   const char* p = record.data() + 1;
@@ -182,55 +184,57 @@ void ExpectFailsOrExactCount(const std::string& record) {
   EXPECT_EQ(flat.size(), declared);
 }
 
-std::string EncodeFor(const PostingList& list, PostingFormat format) {
-  return EncodePostings(list, format);
-}
-
 TEST(PostingBlocksFuzzTest, EveryTruncationFailsLoudly) {
   Random rng(27);
-  PostingList list = RandomList(rng, 300, 8);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (size_t len = 0; len < record.size(); ++len) {
-      std::string truncated = record.substr(0, len);
-      FlatPostingList flat;
-      Status st = DecodePostingsFlat(truncated, &flat);
-      // A strict prefix can never decode to the full declared count, so OK
-      // is unconditionally a silent-truncation bug here.
-      EXPECT_FALSE(st.ok()) << "format " << static_cast<int>(format)
-                            << " decoded a " << len << "-byte prefix of a "
-                            << record.size() << "-byte record";
-    }
+  std::string record = EncodePostingsBlocked(RandomList(rng, 300, 8));
+  for (size_t len = 0; len < record.size(); ++len) {
+    std::string truncated = record.substr(0, len);
+    FlatPostingList flat;
+    Status st = DecodePostingsFlat(truncated, &flat);
+    // A strict prefix can never decode to the full declared count, so OK
+    // is unconditionally a silent-truncation bug here.
+    EXPECT_FALSE(st.ok()) << "decoded a " << len << "-byte prefix of a "
+                          << record.size() << "-byte record";
   }
 }
 
 TEST(PostingBlocksFuzzTest, TrailingBytesAreRejected) {
-  PostingList list = {P({0, 1}), P({0, 2})};
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format) + std::string(1, '\0');
-    FlatPostingList flat;
-    EXPECT_FALSE(DecodePostingsFlat(record, &flat).ok());
-  }
+  std::string record =
+      EncodePostingsBlocked(ListOf({{0, 1}, {0, 2}})) + std::string(1, '\0');
+  FlatPostingList flat;
+  EXPECT_FALSE(DecodePostingsFlat(record, &flat).ok());
+}
+
+// --- the retired v2 layout --------------------------------------------------
+
+void ExpectV2Rejected(const std::string& record) {
+  ASSERT_FALSE(record.empty());
+  ASSERT_EQ(record[0], 2);
+  FlatPostingList flat;
+  Status st = DecodePostingsFlat(record, &flat);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(st.message(), "postings: unsupported format version 2");
+  EXPECT_TRUE(flat.empty());
+  uint32_t count = 0;
+  st = DecodePostingCount(record, &count);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(st.message(), "postings: unsupported format version 2");
+}
+
+// A well-formed v2 record (the 160-posting seed list) is a loud error,
+// never an empty or partial list.
+TEST(PostingBlocksFuzzTest, V2RecordIsRejected) {
+  ExpectV2Rejected(testutil::PostingCorpusRecord("v2_flat"));
 }
 
 // Regression (found by fuzz_posting_decode, crash-v2-trailing-bytes): the
-// eager v2 decoder accepted bytes past the declared postings while the
-// flat decoder rejected them, so whether a damaged record "decoded" hinged
-// on which path happened to serve it. Both must reject.
-TEST(PostingBlocksFuzzTest, EagerDecoderRejectsTrailingBytesToo) {
-  PostingList list = {P({0, 1}), P({0, 2})};
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format) + std::string(1, '\x05');
-    PostingList decoded;
-    EXPECT_FALSE(DecodePostings(record, &decoded).ok());
-  }
-  // The minimized crasher: version 2, zero postings, two stray bytes.
-  PostingList decoded;
-  EXPECT_FALSE(
-      DecodePostings(std::string("\x02\x00\x00\x05", 4), &decoded).ok());
+// retired v2 decoder accepted bytes past the declared postings. The
+// minimized crasher — version 2, zero postings, two stray bytes — is now
+// rejected for its version alone.
+TEST(PostingBlocksFuzzTest, LegacyTrailingBytesCrasherIsRejected) {
+  std::string record = testutil::PostingCorpusRecord("crash-v2-trailing-bytes");
+  EXPECT_EQ(record, std::string("\x02\x00\x00\x05", 4));
+  ExpectV2Rejected(record);
 }
 
 // Regression (found by fuzz_posting_decode, crash-v3-unsorted-block-max):
@@ -259,40 +263,32 @@ TEST(PostingBlocksFuzzTest, OutOfOrderBlockMaxesAreRejected) {
 
 TEST(PostingBlocksFuzzTest, SingleBitFlipsNeverDecodeShort) {
   Random rng(37);
-  PostingList list = RandomList(rng, 120, 8);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (size_t byte = 0; byte < record.size(); ++byte) {
-      for (int bit = 0; bit < 8; ++bit) {
-        std::string flipped = record;
-        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
-        ExpectFailsOrExactCount(flipped);
-      }
+  std::string record = EncodePostingsBlocked(RandomList(rng, 120, 8));
+  for (size_t byte = 0; byte < record.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = record;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      ExpectFailsOrExactCount(flipped);
     }
   }
 }
 
 TEST(PostingBlocksFuzzTest, RandomMultiByteCorruption) {
   Random rng(47);
-  PostingList list = RandomList(rng, 400, 10);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodeFor(list, format);
-    for (int round = 0; round < 400; ++round) {
-      std::string mutated = record;
-      size_t edits = static_cast<size_t>(rng.Uniform(1, 8));
-      for (size_t e = 0; e < edits; ++e) {
-        size_t pos = static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
-        mutated[pos] = static_cast<char>(rng.Uniform(0, 255));
-      }
-      if (rng.OneIn(0.3)) {
-        mutated.resize(static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(mutated.size()))));
-      }
-      ExpectFailsOrExactCount(mutated);
+  std::string record = EncodePostingsBlocked(RandomList(rng, 400, 10));
+  for (int round = 0; round < 400; ++round) {
+    std::string mutated = record;
+    size_t edits = static_cast<size_t>(rng.Uniform(1, 8));
+    for (size_t e = 0; e < edits; ++e) {
+      size_t pos = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(mutated.size()) - 1));
+      mutated[pos] = static_cast<char>(rng.Uniform(0, 255));
     }
+    if (rng.OneIn(0.3)) {
+      mutated.resize(static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(mutated.size()))));
+    }
+    ExpectFailsOrExactCount(mutated);
   }
 }
 
@@ -309,7 +305,7 @@ TEST(PostingBlocksFuzzTest, RegressionZeroBlockCapacity) {
 }
 
 TEST(PostingBlocksFuzzTest, RegressionBlockCountsDisagreeWithTotal) {
-  std::string record = EncodePostingsBlocked({P({0, 1}), P({0, 2})}, 128);
+  std::string record = EncodePostingsBlocked(ListOf({{0, 1}, {0, 2}}), 128);
   // total is the varint at offset 1 (value 2, single byte): claim 3.
   ASSERT_EQ(record[1], 2);
   record[1] = 3;
@@ -323,8 +319,7 @@ TEST(PostingBlocksFuzzTest, RegressionBlockMaxLabelMismatch) {
   // Corrupt the skip key so it disagrees with the block's decoded last
   // label: the self-check must catch it (a wrong skip key would silently
   // misroute probes).
-  PostingList list = {P({0, 1}), P({0, 2})};
-  std::string good = EncodePostingsBlocked(list, 128);
+  std::string good = EncodePostingsBlocked(ListOf({{0, 1}, {0, 2}}), 128);
   auto cursor_or = BlockedPostingCursor::Open(good);
   ASSERT_TRUE(cursor_or.ok());
   // Find the byte holding the max label's last component (value 2) in the
@@ -345,16 +340,15 @@ TEST(PostingBlocksFuzzTest, RegressionBlockMaxLabelMismatch) {
 TEST(PostingBlocksFuzzTest, RegressionHostileReuseDepth) {
   // A posting claiming to reuse more prefix components than its
   // predecessor has must be rejected, not read out of bounds.
-  std::string record;
-  record.push_back(2);  // v2
-  record.push_back(1);  // count 1
+  std::string record("\x03\x01\x01", 3);  // v3, total 1, capacity 1
+  record.append("\x03\x01\x00", 3);      // payload 3, count 1, max depth 0
   record.push_back(0);  // type
   record.push_back(9);  // reuse 9 components of a non-existent predecessor
   record.push_back(0);  // fresh 0
   FlatPostingList flat;
   Status st = DecodePostingsFlat(record, &flat);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption());
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(st.message(), "postings: reuse exceeds previous depth");
 }
 
 TEST(PostingBlocksFuzzTest, RegressionHostileBlockPayloadLength) {
@@ -371,6 +365,24 @@ TEST(PostingBlocksFuzzTest, RegressionHostileBlockPayloadLength) {
   Status st = DecodePostingsFlat(record, &flat);
   EXPECT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption());
+}
+
+// No builder emits a Dewey component of 2^32-1 (child ordinals stay below
+// the node count), and the scan loops bound a partition by incrementing a
+// component, which would wrap to 0 on it. The decoder rejects it in a
+// block payload and in a block's max label alike.
+TEST(PostingBlocksFuzzTest, RegressionMaxComponentIsRejected) {
+  const std::string in_payload = testutil::MaxComponentPostingRecord(false);
+  const std::string in_max_label = testutil::MaxComponentPostingRecord(true);
+  for (const std::string& record : {in_payload, in_max_label}) {
+    FlatPostingList flat;
+    Status st = DecodePostingsFlat(record, &flat);
+    EXPECT_TRUE(st.IsCorruption()) << st;
+    EXPECT_EQ(st.message(), "postings: dewey component out of range");
+  }
+  EXPECT_FALSE(BlockedPostingCursor::Open(in_max_label).ok());
+  // One below the limit is an ordinary component.
+  ExpectRoundTrip(ListOf({{0, 0xfffffffe}}), 128);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/expansion.h"
 #include "core/xrefine.h"
 #include "tests/test_helpers.h"
 #include "workload/corruption.h"
@@ -79,11 +80,13 @@ TEST_F(RefineFigure1Test, PaperExample1SynonymSubstitution) {
 // prefix-delta codec accepts depth 0). The partition-driven loops must
 // still advance past it and terminate.
 TEST_F(RefineFigure1Test, EmptyLabelInAListStillTerminates) {
-  const index::PostingList* postings = corpus_.index->index().Find("xml");
+  const index::FlatPostingList* postings = corpus_.index->index().Find("xml");
   ASSERT_NE(postings, nullptr);
   index::FlatPostingList flat;
-  flat.Append(xml::DeweyRef(), postings->front().type);
-  for (const index::Posting& p : *postings) flat.Append(p.dewey, p.type);
+  flat.Append(xml::DeweyRef(), postings->type(0));
+  for (size_t i = 0; i < postings->size(); ++i) {
+    flat.Append(postings->label(i), postings->type(i));
+  }
 
   RefineInput input;
   input.q = {"xml"};
@@ -293,6 +296,17 @@ TEST(RefineStatsTest, PrunedCountsNeverExceedVisitedCounts) {
 // A keyword universe wider than the 64-bit keyword mask is refused loudly:
 // PrepareRefineInput reports it and every algorithm returns that error
 // instead of a silently empty answer.
+// One source of SLCA-kernel defaults: each algorithm's own options default
+// to the kernel the engine's options do, so a direct caller and XRefine
+// run the same kernel unless told otherwise.
+TEST(RefineOptionsTest, SlcaDefaultsMatchXRefineOptions) {
+  const slca::SlcaAlgorithm engine_default = XRefineOptions{}.slca_algorithm;
+  EXPECT_EQ(engine_default, slca::SlcaAlgorithm::kIndexedLookup);
+  EXPECT_EQ(PartitionRefineOptions{}.slca_algorithm, engine_default);
+  EXPECT_EQ(SleOptions{}.slca_algorithm, engine_default);
+  EXPECT_EQ(ExpansionOptions{}.slca_algorithm, engine_default);
+}
+
 TEST(RefineInputTest, KeywordUniverseWiderThanMaskIsAnError) {
   workload::DblpOptions gen;
   gen.num_authors = 60;

@@ -24,22 +24,32 @@ namespace xrefine::slca {
 namespace {
 
 using index::FlatPostingList;
-using index::Posting;
-using index::PostingList;
+
+// A test-side posting list: labels only, in document order (the SLCA
+// algorithms never read the witness types these lists leave invalid).
+using LabelList = std::vector<xml::Dewey>;
+
+FlatPostingList ToFlat(const LabelList& labels) {
+  FlatPostingList flat;
+  for (const xml::Dewey& label : labels) {
+    flat.Append(label, xml::kInvalidTypeId);
+  }
+  return flat;
+}
 
 // SLCA semantics, computed naively: a node is an SLCA iff its subtree
 // contains a posting from every list and no descendant's subtree does.
 // Candidate nodes are every non-empty prefix of every posting label (the
 // virtual root above depth 1 is not a real node; all algorithms drop it).
-std::vector<std::string> BruteForceSlca(const std::vector<PostingList>& lists) {
+std::vector<std::string> BruteForceSlca(const std::vector<LabelList>& lists) {
   for (const auto& list : lists) {
     if (list.empty()) return {};
   }
   std::vector<xml::Dewey> candidates;
   for (const auto& list : lists) {
-    for (const Posting& p : list) {
-      for (size_t d = 1; d <= p.dewey.depth(); ++d) {
-        candidates.push_back(p.dewey.Prefix(d));
+    for (const xml::Dewey& label : list) {
+      for (size_t d = 1; d <= label.depth(); ++d) {
+        candidates.push_back(label.Prefix(d));
       }
     }
   }
@@ -52,8 +62,8 @@ std::vector<std::string> BruteForceSlca(const std::vector<PostingList>& lists) {
     bool all = true;
     for (const auto& list : lists) {
       bool any = false;
-      for (const Posting& p : list) {
-        if (c.IsAncestorOrSelf(p.dewey)) any = true;
+      for (const xml::Dewey& label : list) {
+        if (c.IsAncestorOrSelf(label)) any = true;
       }
       if (!any) {
         all = false;
@@ -78,19 +88,19 @@ std::vector<std::string> BruteForceSlca(const std::vector<PostingList>& lists) {
 // A random sorted posting list over a degenerate label space: a document-
 // order walk that descends (emitting ancestor-then-descendant pairs),
 // jumps to later siblings at random depths, and repeats labels.
-PostingList RandomList(Random& rng, size_t n, bool shared_root) {
-  PostingList list;
+LabelList RandomList(Random& rng, size_t n, bool shared_root) {
+  LabelList list;
   if (n == 0) return list;
   std::vector<uint32_t> label;
   if (rng.OneIn(0.1)) {
     // Start at the root label itself (depth 0) — a boundary the stack
     // algorithms used to mishandle.
-    list.push_back(Posting{xml::Dewey(), xml::kInvalidTypeId});
+    list.push_back(xml::Dewey());
   }
   label.push_back(shared_root ? 0
                               : static_cast<uint32_t>(rng.Uniform(0, 2)));
   while (list.size() < n) {
-    list.push_back(Posting{xml::Dewey(label), xml::kInvalidTypeId});
+    list.push_back(xml::Dewey(label));
     double move = rng.NextDouble();
     if (move < 0.35 && label.size() < 10) {
       size_t grow = static_cast<size_t>(rng.Uniform(1, 3));
@@ -118,7 +128,7 @@ TEST_P(SlcaPropertyTest, AllAlgorithmsMatchPostingLevelBruteForce) {
     // the rest scatter first components to stress the depth-0 boundary.
     bool shared_root = round % 2 == 0;
     size_t m = static_cast<size_t>(rng.Uniform(2, 4));
-    std::vector<PostingList> lists;
+    std::vector<LabelList> lists;
     for (size_t i = 0; i < m; ++i) {
       lists.push_back(RandomList(
           rng, static_cast<size_t>(rng.Uniform(1, 40)), shared_root));
@@ -127,9 +137,7 @@ TEST_P(SlcaPropertyTest, AllAlgorithmsMatchPostingLevelBruteForce) {
 
     std::vector<FlatPostingList> flats;
     flats.reserve(lists.size());
-    for (const auto& list : lists) {
-      flats.push_back(FlatPostingList::FromPostings(list));
-    }
+    for (const auto& list : lists) flats.push_back(ToFlat(list));
     std::vector<PostingSpan> spans;
     for (const auto& flat : flats) spans.emplace_back(flat);
 
@@ -152,13 +160,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SlcaPropertyTest,
 
 // Pinned boundary cases (found by earlier sweeps; kept as regressions).
 
-std::vector<std::string> RunAll(const std::vector<PostingList>& lists,
+std::vector<std::string> RunAll(const std::vector<LabelList>& lists,
                                 SlcaAlgorithm algorithm) {
   const xml::NodeTypeTable types;
   std::vector<FlatPostingList> flats;
-  for (const auto& list : lists) {
-    flats.push_back(FlatPostingList::FromPostings(list));
-  }
+  for (const auto& list : lists) flats.push_back(ToFlat(list));
   std::vector<PostingSpan> spans;
   for (const auto& flat : flats) spans.emplace_back(flat);
   auto results = ComputeSlca(spans, types, algorithm);
@@ -172,18 +178,16 @@ constexpr SlcaAlgorithm kAll[] = {SlcaAlgorithm::kStack,
                                   SlcaAlgorithm::kScanEager,
                                   SlcaAlgorithm::kIndexedLookup};
 
-PostingList L(const std::vector<std::vector<uint32_t>>& labels) {
-  PostingList out;
-  for (const auto& l : labels) {
-    out.push_back(Posting{xml::Dewey(l), xml::kInvalidTypeId});
-  }
+LabelList L(const std::vector<std::vector<uint32_t>>& labels) {
+  LabelList out;
+  for (const auto& l : labels) out.push_back(xml::Dewey(l));
   return out;
 }
 
 TEST(SlcaBoundaryTest, RootOnlyListYieldsNothing) {
   // A depth-0 posting covers only the virtual root, which is not a result;
   // the stack algorithms used to hit an empty-stack pop here instead.
-  std::vector<PostingList> lists = {L({{}}), L({{0}, {0, 1}})};
+  std::vector<LabelList> lists = {L({{}}), L({{0}, {0, 1}})};
   for (auto algorithm : kAll) {
     EXPECT_EQ(RunAll(lists, algorithm), BruteForceSlca(lists));
     EXPECT_TRUE(RunAll(lists, algorithm).empty());
@@ -191,7 +195,7 @@ TEST(SlcaBoundaryTest, RootOnlyListYieldsNothing) {
 }
 
 TEST(SlcaBoundaryTest, RootPostingAmongRealOnes) {
-  std::vector<PostingList> lists = {L({{}, {0, 1}}), L({{0, 1, 2}})};
+  std::vector<LabelList> lists = {L({{}, {0, 1}}), L({{0, 1, 2}})};
   auto expected = BruteForceSlca(lists);
   EXPECT_EQ(expected, (std::vector<std::string>{"0.1"}));
   for (auto algorithm : kAll) {
@@ -202,7 +206,7 @@ TEST(SlcaBoundaryTest, RootPostingAmongRealOnes) {
 TEST(SlcaBoundaryTest, NoSharedFirstComponent) {
   // LCA is the virtual root only: every algorithm must return empty, not
   // an empty-labelled result.
-  std::vector<PostingList> lists = {L({{1, 0}}), L({{2, 0}})};
+  std::vector<LabelList> lists = {L({{1, 0}}), L({{2, 0}})};
   for (auto algorithm : kAll) {
     EXPECT_TRUE(RunAll(lists, algorithm).empty());
   }
@@ -211,7 +215,7 @@ TEST(SlcaBoundaryTest, NoSharedFirstComponent) {
 TEST(SlcaBoundaryTest, AncestorAndDescendantInOneList) {
   // {0} is an ancestor of {0,1}; the smallest witness pair is {0,1} x
   // {0,1,5}.
-  std::vector<PostingList> lists = {L({{0}, {0, 1}}), L({{0, 1, 5}})};
+  std::vector<LabelList> lists = {L({{0}, {0, 1}}), L({{0, 1, 5}})};
   auto expected = BruteForceSlca(lists);
   EXPECT_EQ(expected, (std::vector<std::string>{"0.1"}));
   for (auto algorithm : kAll) {
@@ -221,7 +225,7 @@ TEST(SlcaBoundaryTest, AncestorAndDescendantInOneList) {
 
 TEST(SlcaBoundaryTest, DuplicateLabelsAcrossLists) {
   // The same node matches both keywords: it is its own SLCA.
-  std::vector<PostingList> lists = {L({{0, 2}, {0, 2}}), L({{0, 2}})};
+  std::vector<LabelList> lists = {L({{0, 2}, {0, 2}}), L({{0, 2}})};
   auto expected = BruteForceSlca(lists);
   EXPECT_EQ(expected, (std::vector<std::string>{"0.2"}));
   for (auto algorithm : kAll) {
@@ -238,7 +242,7 @@ TEST(SlcaBoundaryTest, DeepOneBranchChain) {
     label.push_back(0);
     chain.push_back(label);
   }
-  std::vector<PostingList> lists = {L(chain), L({chain.back()})};
+  std::vector<LabelList> lists = {L(chain), L({chain.back()})};
   auto expected = BruteForceSlca(lists);
   ASSERT_EQ(expected.size(), 1u);
   for (auto algorithm : kAll) {
@@ -358,9 +362,9 @@ TEST_P(DagEquivalencePropertyTest, DagIndexAndQueriesMatchUncompressed) {
               tree_corpus->index().keyword_count())
         << "round " << round << " shape " << shape;
     for (const auto& [keyword, list] : tree_corpus->index().lists()) {
-      const PostingList* dag_list = dag_corpus->index().Find(keyword);
+      const FlatPostingList* dag_list = dag_corpus->index().Find(keyword);
       ASSERT_NE(dag_list, nullptr) << keyword;
-      ASSERT_EQ(*dag_list, list) << "round " << round << " kw " << keyword;
+      ASSERT_TRUE(*dag_list == list) << "round " << round << " kw " << keyword;
     }
     ASSERT_EQ(CanonicalStats(dag_corpus->stats()),
               CanonicalStats(tree_corpus->stats()));

@@ -195,7 +195,7 @@ TEST_P(SlcaDifferentialTest, AllAlgorithmsMatchBruteForce) {
         std::vector<PostingSpan> lists;
         bool missing = false;
         for (const auto& k : q) {
-          const index::FlatPostingList* list = corpus->index().FindFlat(k);
+          const index::FlatPostingList* list = corpus->index().Find(k);
           if (list == nullptr) {
             missing = true;
             break;

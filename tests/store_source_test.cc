@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "core/xrefine.h"
 #include "index/index_store.h"
+#include "index/posting_blocks.h"
 #include "index/store_index_source.h"
 #include "slca/slca.h"
 #include "storage/kvstore.h"
@@ -71,9 +72,9 @@ TEST(StoreSourceTest, FetchListMatchesInMemoryAndCaches) {
   ASSERT_TRUE(handle_or.ok());
   PostingListHandle handle = std::move(handle_or).value();
   ASSERT_TRUE(handle);
-  const PostingList* expected = corpus.index->index().Find("xml");
+  const FlatPostingList* expected = corpus.index->index().Find("xml");
   ASSERT_NE(expected, nullptr);
-  EXPECT_EQ(handle->ToPostings(), *expected);
+  EXPECT_TRUE(*handle == *expected);
   EXPECT_EQ(source.cached_lists(), 1u);
   EXPECT_EQ(misses.value(), misses_before + 1);
 
@@ -107,8 +108,8 @@ TEST(StoreSourceTest, CacheEvictsUnderBudgetButPinsSurvive) {
   ASSERT_TRUE(source.FetchList("skyline").ok());
   EXPECT_EQ(source.cached_lists(), 1u);
   // The pinned list stays valid after its eviction.
-  const PostingList* expected = corpus.index->index().Find("xml");
-  EXPECT_EQ(pin->ToPostings(), *expected);
+  const FlatPostingList* expected = corpus.index->index().Find("xml");
+  EXPECT_TRUE(*pin == *expected);
 }
 
 // End-to-end equivalence: the engine must refine identically whether it
@@ -202,25 +203,83 @@ TEST(StoreSourceTest, ReadFailureDuringFetchSurfacesAsStatus) {
 
 TEST(StoreSourceTest, DecodeRejectsHostilePostingCount) {
   auto corpus = MakeFigure1Corpus();
-  const PostingList* list = corpus.index->index().Find("xml");
+  const FlatPostingList* list = corpus.index->index().Find("xml");
   ASSERT_NE(list, nullptr);
-  for (PostingFormat format :
-       {PostingFormat::kPrefixDelta, PostingFormat::kBlocked}) {
-    std::string record = EncodePostings(*list, format);
+  std::string record = EncodePostingsBlocked(*list);
 
-    // Splice a huge count varint after the version byte: decode must reject
-    // it against the remaining bytes instead of reserving gigabytes.
-    std::string hostile;
-    hostile.push_back(record[0]);
-    for (uint32_t v = 0xffffffff; v >= 0x80; v >>= 7) {
-      hostile.push_back(static_cast<char>(0x80 | (v & 0x7f)));
-    }
-    hostile.push_back(0x0f);
-    hostile += record.substr(1);
-    PostingList decoded;
-    auto st = DecodePostings(hostile, &decoded);
-    EXPECT_FALSE(st.ok());
-    EXPECT_TRUE(st.IsCorruption()) << st;
+  // Splice a huge count varint after the version byte: decode must reject
+  // it against the remaining bytes instead of reserving gigabytes.
+  std::string hostile;
+  hostile.push_back(record[0]);
+  for (uint32_t v = 0xffffffff; v >= 0x80; v >>= 7) {
+    hostile.push_back(static_cast<char>(0x80 | (v & 0x7f)));
+  }
+  hostile.push_back(0x0f);
+  hostile += record.substr(1);
+  FlatPostingList decoded;
+  auto st = DecodePostingsFlat(hostile, &decoded);
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st;
+}
+
+// A store whose "xml" list is `record` in place of the saved one.
+std::unique_ptr<storage::KVStore> StoreWithXmlRecord(
+    const IndexedCorpus& corpus, const std::string& record) {
+  auto store = SavedStore(corpus);
+  EXPECT_TRUE(store->Put(InvertedListKey("xml"), record).ok());
+  return store;
+}
+
+// A store holding a record in the retired v2 layout is a loud error on
+// every read path — never an empty list. The record is the committed
+// v2_flat fuzz seed.
+TEST(StoreSourceTest, V2RecordFailsEveryReadPath) {
+  auto corpus = MakeFigure1Corpus();
+  const std::string v2 = testutil::PostingCorpusRecord("v2_flat");
+  ASSERT_FALSE(v2.empty());
+  ASSERT_EQ(v2[0], 2);
+  auto store = StoreWithXmlRecord(*corpus.index, v2);
+  const std::string kWant = "postings: unsupported format version 2";
+
+  auto loaded_or = LoadCorpus(*store);
+  ASSERT_FALSE(loaded_or.ok());
+  EXPECT_TRUE(loaded_or.status().IsCorruption()) << loaded_or.status();
+  EXPECT_EQ(loaded_or.status().message(), kWant);
+
+  // The eager open sizes the vocabulary from every record head.
+  auto eager_or = StoreBackedIndexSource::Open(store.get());
+  ASSERT_FALSE(eager_or.ok());
+  EXPECT_TRUE(eager_or.status().IsCorruption()) << eager_or.status();
+  EXPECT_EQ(eager_or.status().message(), kWant);
+
+  // A lazy open reads no record; the fetch that decodes it fails.
+  StoreIndexSourceOptions lazy;
+  lazy.lazy_vocabulary = true;
+  auto lazy_or = StoreBackedIndexSource::Open(store.get(), lazy);
+  ASSERT_TRUE(lazy_or.ok()) << lazy_or.status();
+  auto handle_or = lazy_or.value()->FetchList("xml");
+  ASSERT_FALSE(handle_or.ok());
+  EXPECT_TRUE(handle_or.status().IsCorruption()) << handle_or.status();
+  EXPECT_EQ(handle_or.status().message(), kWant);
+  EXPECT_TRUE(lazy_or.value()->FetchList("skyline").ok());
+}
+
+// A Dewey component of 2^32-1 would wrap the scan loops' partition bound;
+// the decoder refuses it, so a store holding one fails the fetch and the
+// load instead of serving a mis-sliced partition.
+TEST(StoreSourceTest, MaxDeweyComponentFailsFetchAndLoad) {
+  auto corpus = MakeFigure1Corpus();
+  for (bool in_max_label : {false, true}) {
+    auto store = StoreWithXmlRecord(
+        *corpus.index, testutil::MaxComponentPostingRecord(in_max_label));
+    auto source_or = StoreBackedIndexSource::Open(store.get());
+    ASSERT_TRUE(source_or.ok()) << source_or.status();
+    auto handle_or = source_or.value()->FetchList("xml");
+    ASSERT_FALSE(handle_or.ok());
+    EXPECT_TRUE(handle_or.status().IsCorruption()) << handle_or.status();
+    auto loaded_or = LoadCorpus(*store);
+    ASSERT_FALSE(loaded_or.ok());
+    EXPECT_TRUE(loaded_or.status().IsCorruption()) << loaded_or.status();
   }
 }
 
@@ -295,9 +354,8 @@ TEST(StoreSourceTest, ConcurrentFetchesAreCoherent) {
           continue;
         }
         PostingListHandle handle = std::move(handle_or).value();
-        const PostingList* expected = corpus.index->index().Find(kw);
-        if (!handle || expected == nullptr ||
-            handle->ToPostings() != *expected) {
+        const FlatPostingList* expected = corpus.index->index().Find(kw);
+        if (!handle || expected == nullptr || *handle != *expected) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -361,7 +419,7 @@ TEST(StoreSourceTest, AdmissionKeepsHotSetThroughColdScan) {
       ASSERT_TRUE(handle_or.ok());
       // Rejected or not, the caller is always served the real list.
       ASSERT_TRUE(handle_or.value());
-      EXPECT_EQ(handle_or.value()->ToPostings(),
+      EXPECT_TRUE(*handle_or.value() ==
                 *corpus.index->index().Find(word));
     }
   };
@@ -480,7 +538,7 @@ TEST(StoreSourceTest, RecencyWindowAdmitsFirstTouchBursts) {
     uint64_t fetches_after_first = fetches.value();
     auto handle_or = source.FetchList("w010");
     ASSERT_TRUE(handle_or.ok());
-    EXPECT_EQ(handle_or.value()->ToPostings(),
+    EXPECT_TRUE(*handle_or.value() ==
               *corpus.index->index().Find("w010"));
     // Served from the window, not re-decoded from the store.
     EXPECT_EQ(fetches.value(), fetches_after_first);
@@ -510,7 +568,7 @@ TEST(StoreSourceTest, LazyVocabularyMatchesEagerAnswers) {
     auto handle_or = source.FetchList(kw);
     ASSERT_TRUE(handle_or.ok()) << kw;
     ASSERT_TRUE(handle_or.value()) << kw;
-    EXPECT_EQ(handle_or.value()->ToPostings(),
+    EXPECT_TRUE(*handle_or.value() ==
               *corpus.index->index().Find(kw))
         << kw;
   }

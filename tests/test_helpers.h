@@ -2,6 +2,8 @@
 #ifndef XREFINE_TESTS_TEST_HELPERS_H_
 #define XREFINE_TESTS_TEST_HELPERS_H_
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +83,34 @@ std::vector<std::string> DeweyStrings(const Results& results) {
   for (const auto& r : results) out.push_back(r.dewey.ToString());
   return out;
 }
+
+/// A hand-built one-posting v3 record (every varint spelled out) whose
+/// label (0, 2^32-1) carries a Dewey component no builder emits: in the
+/// block payload only (the max label says (0, 5)), or, with
+/// `in_max_label`, in the block's max label too.
+inline std::string MaxComponentPostingRecord(bool in_max_label) {
+  const std::string max_varint("\xff\xff\xff\xff\x0f", 5);
+  std::string payload("\x00\x00\x02\x00", 4);  // type, reuse 0, fresh 2, 0
+  payload += max_varint;
+  std::string record("\x03\x01\x01", 3);  // v3, total 1, capacity 1
+  record.push_back(static_cast<char>(payload.size()));
+  record.append("\x01\x02\x00", 3);  // count 1, max depth 2, component 0
+  record += in_max_label ? max_varint : std::string("\x05", 1);
+  return record + payload;
+}
+
+#ifdef XREFINE_FUZZ_CORPUS_DIR
+/// The stored record carried by a committed posting_decode fuzz-corpus
+/// file (the file minus the harness's 8 leading probe bytes).
+inline std::string PostingCorpusRecord(const std::string& name) {
+  std::ifstream in(
+      std::string(XREFINE_FUZZ_CORPUS_DIR) + "/posting_decode/" + name,
+      std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  return bytes.size() > 8 ? bytes.substr(8) : std::string();
+}
+#endif
 
 }  // namespace xrefine::testutil
 

@@ -101,8 +101,9 @@ echo "=== [tsan] pager stress OK ==="
 # Scan-path smoke under TSan: concurrent SLCA scans against one shared
 # StoreBackedIndexSource — galloping probes over pinned flat lists, blocked
 # record decodes racing through the single-flight cache. The binary also
-# cross-checks v2-vs-v3 SLCA results and exits non-zero on divergence, so
-# this doubles as a correctness gate in the matrix. (The codec itself —
+# cross-checks Scan Eager against Indexed Lookup Eager on every query and
+# exits non-zero on divergence, so this doubles as a correctness gate in
+# the matrix. (The codec itself —
 # posting_blocks_test — runs in every config's ctest pass, including the
 # asan and ubsan legs.)
 echo "=== [tsan] bench_scan smoke ==="

@@ -1,10 +1,12 @@
-// Fuzz surface: stored posting records — the v2 flat prefix-delta decoder,
-// the v3 blocked decoder, the cheap count-only header read, and the lazy
+// Fuzz surface: stored posting records — the one decoder
+// (DecodePostingsFlat), the cheap count-only header read, and the lazy
 // BlockedPostingCursor (Open → FindBlock probes → DecodeBlock → DecodeAll)
 // with probe sequences drawn from the input. Invariants checked:
 //  * no decoder reads outside the record or loops forever;
-//  * the PR-6 discipline — every decode is non-OK or yields exactly the
-//    declared posting count; the three decoders agree on that count;
+//  * every decode is non-OK or yields exactly the declared posting count,
+//    and the count-only read agrees with it;
+//  * only format version 3 decodes: a record in any other layout (the
+//    retired v2 among them) is rejected by every entry point;
 //  * cursor block sizes sum to posting_count(), and block-by-block decode
 //    matches DecodeAll.
 #include <cstdint>
@@ -13,8 +15,6 @@
 #include <string_view>
 
 #include "index/flat_postings.h"
-#include "index/index_store.h"
-#include "index/posting.h"
 #include "index/posting_blocks.h"
 #include "tools/fuzz/fuzz_driver.h"
 #include "xml/dewey.h"
@@ -39,29 +39,25 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   uint32_t probe_b = in.U32();
   std::string_view record = in.Rest();
 
-  // Eager decoders, both layouts' entry points.
-  xrefine::index::PostingList list;
-  bool eager_ok = xrefine::index::DecodePostings(record, &list).ok();
-
   xrefine::index::FlatPostingList flat;
   bool flat_ok = xrefine::index::DecodePostingsFlat(record, &flat).ok();
-  Require(eager_ok == flat_ok, "eager and flat decoders disagree on validity");
-  if (eager_ok) {
-    Require(list.size() == flat.size(),
-            "eager and flat decoders disagree on posting count");
-  }
 
   uint32_t declared = 0;
   bool count_ok = xrefine::index::DecodePostingCount(record, &declared).ok();
-  if (eager_ok) {
+  if (flat_ok) {
     Require(count_ok, "full decode succeeded but count-only read failed");
-    Require(declared == list.size(),
+    Require(declared == flat.size(),
             "decoded posting count differs from declared count");
   }
+  if (!record.empty() && record[0] != 3) {
+    Require(!flat_ok && !count_ok, "a record of another format decoded");
+  }
 
-  // Lazy path (v3 records only; v2 records must be rejected by Open).
   auto cursor_or = xrefine::index::BlockedPostingCursor::Open(record);
-  if (!cursor_or.ok()) return 0;
+  if (!cursor_or.ok()) {
+    Require(!flat_ok, "Open rejected a record the decoder accepted");
+    return 0;
+  }
   const auto& cursor = cursor_or.value();
 
   size_t total = 0;
@@ -88,7 +84,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Block-at-a-time decode must reproduce DecodeAll exactly — and if the
-  // eager decoders rejected the record, some block must fail too.
+  // decoder rejected the record, some block must fail too.
   xrefine::index::FlatPostingList by_block;
   bool all_blocks_ok = true;
   for (size_t b = 0; b < cursor.block_count(); ++b) {
@@ -101,8 +97,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   bool decode_all_ok = cursor.DecodeAll(&all).ok();
   Require(all_blocks_ok == decode_all_ok,
           "DecodeBlock loop and DecodeAll disagree on validity");
-  Require(decode_all_ok == eager_ok,
-          "cursor and eager decoders disagree on payload validity");
+  Require(decode_all_ok == flat_ok,
+          "DecodeAll and DecodePostingsFlat disagree on validity");
   if (decode_all_ok) {
     Require(all.size() == cursor.posting_count(),
             "DecodeAll did not yield the declared posting count");

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "index/index_store.h"
-#include "index/posting.h"
+#include "index/flat_postings.h"
 #include "index/posting_blocks.h"
 #include "server/frame.h"
 #include "storage/kvstore.h"
@@ -48,14 +48,14 @@ std::string WithProbePrefix(std::string_view record) {
   return out;
 }
 
-xrefine::index::PostingList SamplePostings() {
+xrefine::index::FlatPostingList SamplePostings() {
   using xrefine::xml::Dewey;
-  xrefine::index::PostingList list;
+  xrefine::index::FlatPostingList list;
   // Shape mirrors Figure 1's inverted lists: clustered siblings under two
   // authors plus a deep straggler, enough to exercise prefix reuse.
   for (uint32_t leaf = 0; leaf < 160; ++leaf) {
-    list.push_back({Dewey({0, leaf / 40, 1, leaf % 40, leaf % 3}),
-                    static_cast<xrefine::xml::TypeId>(leaf % 7)});
+    list.Append(Dewey({0, leaf / 40, 1, leaf % 40, leaf % 3}),
+                static_cast<xrefine::xml::TypeId>(leaf % 7));
   }
   return list;
 }
@@ -85,26 +85,22 @@ int main(int argc, char** argv) {
   const fs::path root = argc > 1 ? argv[1] : "tests/fuzz_corpora";
   bool ok = true;
 
-  // --- posting_decode: both stored formats plus edge shapes -------------
+  // --- posting_decode: the stored format plus edge shapes ---------------
+  // (The v2_flat seed of the retired flat layout is no longer generated;
+  // the committed file stays as a must-reject replay.)
   {
     const fs::path dir = root / "posting_decode";
-    const xrefine::index::PostingList list = SamplePostings();
-    ok &= WriteSeed(dir, "v3_blocked_default",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        list, xrefine::index::PostingFormat::kBlocked)));
+    const xrefine::index::FlatPostingList list = SamplePostings();
+    const std::string blocked = xrefine::index::EncodePostingsBlocked(list);
+    ok &= WriteSeed(dir, "v3_blocked_default", WithProbePrefix(blocked));
     ok &= WriteSeed(dir, "v3_blocked_capacity4",
                     WithProbePrefix(
                         xrefine::index::EncodePostingsBlocked(list, 4)));
-    ok &= WriteSeed(dir, "v2_flat",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        list, xrefine::index::PostingFormat::kPrefixDelta)));
     ok &= WriteSeed(dir, "empty_list",
-                    WithProbePrefix(xrefine::index::EncodePostings(
-                        {}, xrefine::index::PostingFormat::kBlocked)));
-    std::string truncated = xrefine::index::EncodePostings(
-        list, xrefine::index::PostingFormat::kBlocked);
-    truncated.resize(truncated.size() / 2);
-    ok &= WriteSeed(dir, "v3_truncated", WithProbePrefix(truncated));
+                    WithProbePrefix(xrefine::index::EncodePostingsBlocked(
+                        xrefine::index::FlatPostingList())));
+    ok &= WriteSeed(dir, "v3_truncated",
+                    WithProbePrefix(blocked.substr(0, blocked.size() / 2)));
   }
 
   // --- dewey: split-length byte + two label texts -----------------------
