@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto loaded = std::move(loaded_or).value();
-  loaded->set_document(&doc);
+  loaded->set_document_view(&doc);
   std::cout << "reloaded index in " << timer.ElapsedMillis() << " ms\n";
 
   // 4. Generate a few corrupted queries and refine them.

@@ -93,14 +93,14 @@ namespace xrefine {
 // renumbering. Equal ranks can never nest (the check is strict), which also
 // enforces "never two pager shard latches at once".
 enum LockRank : int {
-  // IndexSource::vocab_snapshot_mu_: held while the vocabulary is
-  // enumerated, which on a lazily opened store reads the B+-tree.
+  // IndexSource::vocab_snapshot_mu_: held while a source enumerates its
+  // vocabulary to build the snapshot, so it ranks below every engine latch
+  // that enumeration could take.
   kLockRankVocabSnapshot = 5,
   kLockRankBTree = 10,           // BTree::mu_ (tree-wide reader/writer latch)
   kLockRankPagerShard = 20,      // Pager::Shard::mu (8 stripes, one rank)
   kLockRankPagerIo = 30,         // Pager::io_mu_
   kLockRankCooccurrence = 40,    // CooccurrenceTable::mu_ (leaf)
-  kLockRankStoreSourceVocab = 42,  // StoreBackedIndexSource::vocab_mu_ (leaf)
   kLockRankStoreSourceCache = 44,  // StoreBackedIndexSource::mu_ (leaf)
   // The result cache probe is a leaf: GetOrCompute drops mu_ before running
   // the engine, so no engine latch (10..44) is ever acquired under it.

@@ -21,8 +21,8 @@
 //   * Epoch invalidation. Every entry is implicitly stamped with the
 //     IndexSource snapshot epoch observed at insert; a probe that sees a
 //     newer source epoch drops the whole map first (wholesale, not
-//     per-entry: epoch bumps are rare — lazy-vocabulary completion, store
-//     reopen — and correctness beats retention there).
+//     per-entry: epoch bumps are rare — a future ingest commit — and
+//     correctness beats retention there).
 //
 // Bounded by max_entries with TinyLFU admission: at capacity a new result
 // only displaces the LRU victim when the sketch estimates the newcomer's

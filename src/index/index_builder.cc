@@ -59,7 +59,7 @@ std::unique_ptr<IndexedCorpus> BuildIndex(const xml::Document& doc,
                                           const IndexBuildOptions& options) {
   auto corpus = std::make_unique<IndexedCorpus>();
   corpus->mutable_types() = doc.types();
-  corpus->set_document(&doc);
+  corpus->set_document_view(&doc);
   InvertedIndex& index = corpus->mutable_index();
   StatisticsTable& stats = corpus->mutable_stats();
   TypeChainCache chains(corpus->types());

@@ -39,15 +39,9 @@ class IndexedCorpus : public IndexSource {
 
   CooccurrenceTable& cooccurrence() const override { return cooccurrence_; }
 
-  const xml::Document* document() const override { return document_; }
-  void set_document(const xml::Document* doc) {
-    document_ = doc;
-    view_ = doc;
-  }
-
   const xml::DocumentView* document_view() const override { return view_; }
-  /// Attaches a representation-agnostic view only (the DAG-compressed
-  /// case: there is no uncompressed Document to point at).
+  /// Attaches the source document (an xml::Document or, compressed, an
+  /// xml::DagDocument) for snippets and expansion support mining.
   void set_document_view(const xml::DocumentView* view) { view_ = view; }
 
   // --- IndexSource over the in-memory lists (all infallible) ---
@@ -74,7 +68,6 @@ class IndexedCorpus : public IndexSource {
   xml::NodeTypeTable types_;
   // Lazily filled; logically part of the index, hence mutable.
   mutable CooccurrenceTable cooccurrence_;
-  const xml::Document* document_ = nullptr;
   const xml::DocumentView* view_ = nullptr;
 };
 

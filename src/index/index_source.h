@@ -29,7 +29,6 @@
 #include "xml/node_type.h"
 
 namespace xrefine::xml {
-class Document;
 class DocumentView;
 }  // namespace xrefine::xml
 
@@ -129,25 +128,21 @@ class IndexSource {
   virtual const xml::NodeTypeTable& types() const = 0;
   virtual CooccurrenceTable& cooccurrence() const = 0;
 
-  /// The source document, when this source still has one (results can then
-  /// be rendered as subtree snippets); nullptr for persisted corpora.
-  virtual const xml::Document* document() const { return nullptr; }
-
-  /// Representation-agnostic read view of the source document — set for
-  /// both uncompressed (xml::Document) and DAG-compressed
-  /// (xml::DagDocument) corpora; nullptr for persisted corpora. Query-path
-  /// consumers (expansion support mining, snippet rendering) use this
-  /// instead of document() so they work identically over compressed
-  /// structure.
+  /// Read view of the source document — set for both uncompressed
+  /// (xml::Document) and DAG-compressed (xml::DagDocument) corpora, so
+  /// query-path consumers (expansion support mining, snippet rendering)
+  /// work identically over compressed structure; nullptr for persisted
+  /// corpora.
   virtual const xml::DocumentView* document_view() const { return nullptr; }
 
   /// Snapshot epoch: monotonically increasing stamp that changes whenever
   /// the content this source serves could differ from what it served
-  /// before (e.g. a lazy-vocabulary source finishing its background
-  /// enumeration, a future incremental-ingest commit). Derived caches —
-  /// notably core::RefinementCache — key their entries by this value and
-  /// invalidate wholesale on a mismatch, so a stale refinement result can
-  /// never outlive the index state it was computed from.
+  /// before. Every source here serves an immutable snapshot, so only tests
+  /// bump it today; it is the hook a future incremental-ingest commit
+  /// would use. Derived caches — notably core::RefinementCache — key their
+  /// entries by this value and invalidate wholesale on a mismatch, so a
+  /// stale refinement result can never outlive the index state it was
+  /// computed from.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Forces an epoch bump; lets tests exercise derived-cache invalidation
@@ -156,7 +151,7 @@ class IndexSource {
 
  protected:
   /// Implementations call this after any change observable through the
-  /// read API (vocabulary completion, reopened store segment, ...).
+  /// read API.
   void BumpEpoch() const { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/metrics.h"
-#include "index/bloom.h"
 #include "index/posting_blocks.h"
 #include "storage/serde.h"
 
@@ -20,7 +19,6 @@ using storage::PutVarint64;
 
 constexpr char kTypesKey[] = "m\0types";
 constexpr char kTypeStatsKey[] = "m\0typestats";
-constexpr char kBloomKey[] = "m\0bloom";
 
 // Meta keys contain an embedded NUL, so their length must come from the
 // array literal (everything but the trailing NUL) — never from strlen or a
@@ -135,8 +133,6 @@ std::string FreqRowKey(std::string_view keyword) {
   key += keyword;
   return key;
 }
-
-std::string BloomMetaKey() { return MetaKey(kBloomKey); }
 
 namespace {
 
@@ -265,13 +261,6 @@ Status SaveCorpus(const IndexedCorpus& corpus, storage::KVStore* store) {
   // warmed cache survives restarts (the paper's co-occur frequency table).
   XREFINE_RETURN_IF_ERROR(store->Put(MetaKey(kCooccurKey),
                                      EncodeCooccurCache(corpus.cooccurrence())));
-  // Vocabulary Bloom filter: lets a lazy-vocabulary source skip both the
-  // open-time head scan and the B+-tree descent on every definite miss.
-  BloomFilter bloom =
-      BloomFilter::ForExpectedKeys(corpus.index().keyword_count());
-  corpus.index().ForEachKeyword(
-      [&bloom](std::string_view keyword) { bloom.Insert(keyword); });
-  XREFINE_RETURN_IF_ERROR(store->Put(MetaKey(kBloomKey), bloom.Encode()));
   return store->Flush();
 }
 

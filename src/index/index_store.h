@@ -23,13 +23,6 @@ std::string InvertedListKey(std::string_view keyword);
 /// The store key of `keyword`'s frequent-table row ("f\0<keyword>").
 std::string FreqRowKey(std::string_view keyword);
 
-/// The store key of the persisted vocabulary Bloom filter ("m\0bloom").
-/// SaveCorpus writes one per corpus; a lazy-vocabulary
-/// StoreBackedIndexSource reads it to serve negative keyword probes without
-/// descending into the B+-tree (stores predating the record simply lack the
-/// key and fall back to the eager head scan).
-std::string BloomMetaKey();
-
 /// Writes the corpus into `store` and flushes it. A non-empty store is
 /// first cleared of inverted-list and frequent-table keys that the new
 /// corpus does not contain — without this, saving a smaller corpus over a

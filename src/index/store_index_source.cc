@@ -20,8 +20,6 @@ struct CacheMetrics {
   metrics::Counter* admitted;
   metrics::Counter* rejected;
   metrics::Gauge* bytes;
-  metrics::Counter* bloom_hits;   // bloom said maybe; descent performed
-  metrics::Counter* bloom_skips;  // bloom said no; descent skipped
 };
 
 const CacheMetrics& Metrics() {
@@ -32,9 +30,7 @@ const CacheMetrics& Metrics() {
                         r.counter("index.prefetch_lists"),
                         r.counter("index.cache_admit"),
                         r.counter("index.cache_reject"),
-                        r.gauge("index.cache_bytes"),
-                        r.counter("index.bloom_hits"),
-                        r.counter("index.bloom_skips")};
+                        r.gauge("index.cache_bytes")};
   }();
   return m;
 }
@@ -69,29 +65,10 @@ StatusOr<std::unique_ptr<StoreBackedIndexSource>> StoreBackedIndexSource::Open(
       new StoreBackedIndexSource(store, options));
   XREFINE_RETURN_IF_ERROR(LoadCorpusMetadata(
       *store, &source->types_, &source->stats_, &source->cooccurrence_));
-
-  if (options.lazy_vocabulary) {
-    auto bloom_or = store->Get(BloomMetaKey());
-    if (bloom_or.ok()) {
-      auto filter_or = BloomFilter::Decode(bloom_or.value());
-      if (!filter_or.ok()) return filter_or.status();
-      source->bloom_ = std::move(filter_or).value();
-      source->lazy_ = true;
-      return source;  // no scan: sizes are probed and memoized on demand
-    }
-    // A store persisted before the bloom record existed: fall through to
-    // the eager scan. Any other failure is a real store error.
-    if (!bloom_or.status().IsNotFound()) return bloom_or.status();
-  }
-
   // Vocabulary + list sizes from the record heads only: value_prefix stops
   // after the count varint, so a corpus-sized store opens without decoding
   // (or even paging in) a single full list.
-  std::unordered_map<std::string, uint32_t> sizes;
-  XREFINE_RETURN_IF_ERROR(ScanListSizes(*store, &sizes));
-  MutexLock lock(&source->vocab_mu_);
-  source->list_sizes_ = std::move(sizes);
-  source->vocab_complete_ = true;
+  XREFINE_RETURN_IF_ERROR(ScanListSizes(*store, &source->list_sizes_));
   return source;
 }
 
@@ -103,27 +80,8 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchList(
 StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
     std::string_view keyword, bool record_access) const {
   std::string key(keyword);
-  if (lazy_) {
-    bool known = false;
-    {
-      MutexLock lock(&vocab_mu_);
-      known = list_sizes_.find(key) != list_sizes_.end();
-    }
-    if (!known) {
-      if (!bloom_.MayContain(keyword)) {
-        // Definite miss: no descent at all.
-        Metrics().bloom_skips->Increment();
-        return PostingListHandle();
-      }
-      Metrics().bloom_hits->Increment();
-      // Maybe-present: fall through to the store fetch, which resolves a
-      // bloom false positive as NotFound below.
-    }
-  } else {
-    MutexLock lock(&vocab_mu_);
-    if (list_sizes_.find(key) == list_sizes_.end()) {
-      return PostingListHandle();  // absent keyword: OK, null handle
-    }
+  if (list_sizes_.find(key) == list_sizes_.end()) {
+    return PostingListHandle();  // absent keyword: OK, null handle
   }
   {
     MutexLock lock(&mu_);
@@ -131,8 +89,7 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
     auto it = cache_.find(key);
     if (it != cache_.end()) {
       Metrics().hits->Increment();
-      std::list<std::string>& home = it->second.in_window ? window_lru_ : lru_;
-      home.splice(home.begin(), home, it->second.lru_it);
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return PostingListHandle(it->second.list);
     }
   }
@@ -141,53 +98,21 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
   // The store read (B-tree latch, then pager latch inside) runs with the
   // cache latch dropped; see the lock-order note in the header.
   auto value_or = store_->Get(InvertedListKey(keyword));
-  if (!value_or.ok()) {
-    // In lazy mode an absent key is reachable (a bloom false positive);
-    // that is the "keyword not in corpus" answer, not an error.
-    if (lazy_ && value_or.status().IsNotFound()) return PostingListHandle();
-    return value_or.status();
-  }
+  if (!value_or.ok()) return value_or.status();
   auto list = std::make_shared<FlatPostingList>();
   XREFINE_RETURN_IF_ERROR(DecodePostingsFlat(value_or.value(), list.get()));
   // Cache entries live long; decode-time capacity slack would inflate the
   // byte budget, so trim before measuring.
   list->ShrinkToFit();
   size_t bytes = list->resident_bytes();
-  if (lazy_) {
-    // The full list is in hand; memoize its size so later Contains/ListSize
-    // probes for this keyword skip even the record-head descent.
-    MutexLock lock(&vocab_mu_);
-    list_sizes_.emplace(key, static_cast<uint32_t>(list->size()));
-  }
 
   MutexLock lock(&mu_);
   auto it = cache_.find(key);
   if (it != cache_.end()) {
     // A concurrent miss on the same keyword inserted first; adopt its copy
     // so all handles share one list.
-    std::list<std::string>& home = it->second.in_window ? window_lru_ : lru_;
-    home.splice(home.begin(), home, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return PostingListHandle(it->second.list);
-  }
-
-  if (window_capacity_bytes_ != 0) {
-    // W-TinyLFU: every new list enters the recency window without a duel —
-    // a recency-biased burst gets its shot at the cache even though the
-    // sketch has never seen it. The squeeze below makes room by demoting
-    // the window's coldest entries into the main segment, where the usual
-    // admission duel decides whether they stay.
-    window_lru_.push_front(key);
-    CacheEntry entry;
-    entry.list = list;
-    entry.bytes = bytes;
-    entry.lru_it = window_lru_.begin();
-    entry.in_window = true;
-    cache_.emplace(std::move(key), std::move(entry));
-    cache_bytes_ += bytes;
-    window_bytes_ += bytes;
-    DemoteWindowOverflowLocked();
-    Metrics().bytes->Set(static_cast<int64_t>(cache_bytes_));
-    return PostingListHandle(std::move(list));
   }
 
   // TinyLFU admission: inserting under eviction pressure is only allowed
@@ -240,87 +165,20 @@ StatusOr<PostingListHandle> StoreBackedIndexSource::FetchListImpl(
   return PostingListHandle(std::move(list));
 }
 
-void StoreBackedIndexSource::DemoteWindowOverflowLocked() const {
-  // Main segment gets whatever the window doesn't: its own budget, trimmed
-  // independently below.
-  const size_t main_capacity =
-      options_.cache_capacity_bytes > window_capacity_bytes_
-          ? options_.cache_capacity_bytes - window_capacity_bytes_
-          : 0;
-  while (window_bytes_ > window_capacity_bytes_ && !window_lru_.empty()) {
-    auto vit = cache_.find(window_lru_.back());
-    const size_t vbytes = vit->second.bytes;
-    const uint64_t candidate_freq = lfu_.Estimate(vit->first);
-    size_t main_bytes = cache_bytes_ - window_bytes_;
-
-    // The duel: the demoted entry claims a main slot only when every main
-    // victim that would have to go to fit it is strictly colder.
-    bool admit = true;
-    if (main_bytes + vbytes > main_capacity) {
-      size_t must_free = main_bytes + vbytes - main_capacity;
-      size_t freed = 0;
-      for (auto mit = lru_.rbegin(); mit != lru_.rend() && freed < must_free;
-           ++mit) {
-        if (lfu_.Estimate(*mit) >= candidate_freq) {
-          admit = false;
-          break;
-        }
-        freed += cache_.find(*mit)->second.bytes;
-      }
-    }
-    if (!admit) {
-      Metrics().rejected->Increment();
-      window_bytes_ -= vbytes;
-      cache_bytes_ -= vbytes;
-      window_lru_.pop_back();
-      cache_.erase(vit);
-      continue;
-    }
-    if (main_bytes + vbytes > main_capacity) Metrics().admitted->Increment();
-    vit->second.in_window = false;
-    lru_.splice(lru_.begin(), window_lru_, vit->second.lru_it);
-    window_bytes_ -= vbytes;
-    // Trim main to budget, coldest first; the just-demoted entry sits at
-    // the front and survives unless it alone exceeds the whole budget.
-    size_t main_now = cache_bytes_ - window_bytes_;
-    while (main_now > main_capacity && lru_.size() > 1) {
-      auto evict = cache_.find(lru_.back());
-      main_now -= evict->second.bytes;
-      cache_bytes_ -= evict->second.bytes;
-      cache_.erase(evict);
-      lru_.pop_back();
-    }
-  }
-}
-
 void StoreBackedIndexSource::Prefetch(
     const std::vector<std::string>& keywords) const {
   // Keep only keywords that exist and are not already resident: spawning a
   // thread to discover a cache hit would cost more than the hit saves.
-  // Existence and residency live under different latches, checked one at a
-  // time (the two are never held together). In lazy mode existence is the
-  // memo or, failing that, a silent bloom probe — no metrics here, since a
-  // bloom-passed keyword's real FetchList does its own counted probe.
-  std::vector<const std::string*> candidates;
-  candidates.reserve(keywords.size());
-  for (const std::string& keyword : keywords) {
-    bool known = false;
-    {
-      MutexLock lock(&vocab_mu_);
-      known = list_sizes_.find(keyword) != list_sizes_.end();
-    }
-    if (!known) {
-      if (!lazy_ || !bloom_.MayContain(keyword)) continue;
-    }
-    candidates.push_back(&keyword);
-  }
   std::vector<const std::string*> missing;
-  missing.reserve(candidates.size());
+  missing.reserve(keywords.size());
   {
     MutexLock lock(&mu_);
-    for (const std::string* keyword : candidates) {
-      if (cache_.find(*keyword) != cache_.end()) continue;
-      missing.push_back(keyword);
+    for (const std::string& keyword : keywords) {
+      if (list_sizes_.find(keyword) == list_sizes_.end() ||
+          cache_.find(keyword) != cache_.end()) {
+        continue;
+      }
+      missing.push_back(&keyword);
     }
   }
   if (missing.empty()) return;
@@ -353,101 +211,22 @@ void StoreBackedIndexSource::Prefetch(
   for (auto& t : threads) t.join();
 }
 
-uint32_t StoreBackedIndexSource::LookupListSize(
-    std::string_view keyword) const {
-  std::string key(keyword);
-  {
-    MutexLock lock(&vocab_mu_);
-    auto it = list_sizes_.find(key);
-    if (it != list_sizes_.end()) return it->second;
-    if (!lazy_ || vocab_complete_) return 0;
-  }
-  if (!bloom_.MayContain(keyword)) {
-    Metrics().bloom_skips->Increment();
-    return 0;
-  }
-  Metrics().bloom_hits->Increment();
-
-  // Maybe-present: descend to the record head only (value_prefix stops
-  // after the count varint), with no latch held across the store read.
-  // Store errors degrade to 0 — Contains/ListSize have no error channel,
-  // and the caller's own FetchList surfaces the failure. A bloom false
-  // positive lands here too (key absent), deliberately unmemoized: at ~1%
-  // of probes a negative memo isn't worth the memory.
-  std::string want = InvertedListKey(keyword);
-  auto cursor = store_->NewCursor();
-  cursor.Seek(want);
-  if (!cursor.Valid() || cursor.key() != std::string_view(want)) return 0;
-  std::string head = cursor.value_prefix(kCountPrefixBytes);
-  if (!cursor.status().ok()) return 0;
-  uint32_t count = 0;
-  if (!DecodePostingCount(head, &count).ok()) return 0;
-  MutexLock lock(&vocab_mu_);
-  list_sizes_.emplace(std::move(key), count);
-  return count;
-}
-
-void StoreBackedIndexSource::EnsureFullVocabulary() const {
-  {
-    MutexLock lock(&vocab_mu_);
-    if (vocab_complete_) return;
-  }
-  // Scan outside the latch (cursor reads take the B+-tree latch), then
-  // merge. Concurrent callers may scan twice; both converge to the same
-  // complete map.
-  std::unordered_map<std::string, uint32_t> sizes;
-  if (!ScanListSizes(*store_, &sizes).ok()) return;  // degrade: stay lazy
-  bool completed_now = false;
-  {
-    MutexLock lock(&vocab_mu_);
-    for (auto& [keyword, count] : sizes) {
-      list_sizes_.emplace(keyword, count);
-    }
-    completed_now = !vocab_complete_;
-    vocab_complete_ = true;
-  }
-  // The read API's answers just changed shape (Contains/ListSize now see
-  // the full vocabulary, and a bloom false-positive can no longer slip a
-  // "maybe" through): stamp a new snapshot epoch so derived caches —
-  // the engine's RefinementCache above all — invalidate wholesale instead
-  // of serving outcomes computed against the partial view.
-  if (completed_now) BumpEpoch();
-}
-
 bool StoreBackedIndexSource::Contains(std::string_view keyword) const {
-  return LookupListSize(keyword) > 0;
+  return ListSize(keyword) > 0;
 }
 
 size_t StoreBackedIndexSource::ListSize(std::string_view keyword) const {
-  return LookupListSize(keyword);
+  auto it = list_sizes_.find(std::string(keyword));
+  return it == list_sizes_.end() ? 0 : it->second;
 }
 
 size_t StoreBackedIndexSource::keyword_count() const {
-  if (lazy_) {
-    // Exact (SaveCorpus counts every insert), even before any memoization.
-    return static_cast<size_t>(bloom_.key_count());
-  }
-  MutexLock lock(&vocab_mu_);
   return list_sizes_.size();
 }
 
 void StoreBackedIndexSource::ForEachKeyword(
     const std::function<void(std::string_view)>& fn) const {
-  // Full enumeration genuinely needs the whole vocabulary, so a lazy
-  // source pays the head scan here, once, on first use (rule mining and
-  // snapshot builders — not the per-query path).
-  if (lazy_) EnsureFullVocabulary();
-  // Snapshot the keys so `fn` runs without the latch: consumers may call
-  // back into Contains/ListSize, which take vocab_mu_ themselves.
-  std::vector<std::string> keywords;
-  {
-    MutexLock lock(&vocab_mu_);
-    keywords.reserve(list_sizes_.size());
-    for (const auto& [keyword, unused_size] : list_sizes_) {
-      keywords.push_back(keyword);
-    }
-  }
-  for (const std::string& keyword : keywords) fn(keyword);
+  for (const auto& [keyword, unused_size] : list_sizes_) fn(keyword);
 }
 
 }  // namespace xrefine::index

@@ -10,7 +10,6 @@
 #ifndef XREFINE_INDEX_STORE_INDEX_SOURCE_H_
 #define XREFINE_INDEX_STORE_INDEX_SOURCE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -22,7 +21,6 @@
 
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
-#include "index/bloom.h"
 #include "index/cooccurrence.h"
 #include "index/index_source.h"
 #include "index/statistics.h"
@@ -38,35 +36,16 @@ struct StoreIndexSourceOptions {
   /// alive for as long as any handed-out PostingListHandle pins them.
   /// 0 = unbounded.
   size_t cache_capacity_bytes = 16u << 20;
-  /// TinyLFU admission: on eviction pressure a cold candidate only
-  /// displaces victims whose sketch frequency is strictly lower, so a
-  /// one-pass cold scan cannot flush the hot working set. Off = plain LRU
-  /// (every miss is admitted), the pre-admission behavior.
+  /// TinyLFU admission (default-sized sketch): on eviction pressure a cold
+  /// candidate only displaces victims whose sketch frequency is strictly
+  /// lower, so a one-pass cold scan cannot flush the hot working set.
+  /// Off = plain LRU (every miss is admitted), the baseline
+  /// bench_rule_generation compares admission against.
   bool cache_admission = true;
-  /// Sketch sizing for the admission filter (ignored when admission is
-  /// off).
-  TinyLfuOptions admission;
-  /// W-TinyLFU recency window (Einziger et al.): this fraction of the byte
-  /// budget forms a windowed-LRU stage in FRONT of the admission duel. New
-  /// lists always enter the window (recency-biased bursts stop paying the
-  /// sketch duel on first touch); entries squeezed out of the window duel
-  /// into the main TinyLFU-guarded segment, and only lose their slot when
-  /// a needed main victim is estimated at least as hot. 0 (default) = no
-  /// window, the plain-TinyLFU behavior every existing test pins down.
-  /// Only meaningful with cache_admission on and a nonzero capacity;
-  /// clamped to [0, 1].
-  double window_fraction = 0.0;
-  /// Lazy vocabulary: skip the open-time O(vocabulary) record-head scan and
-  /// serve keyword-existence probes from the persisted Bloom filter
-  /// instead. A definite bloom miss (the common case for spelling-probe
-  /// floods and absent query terms) answers without any B+-tree descent
-  /// (counted as index.bloom_skips); a "maybe" descends to the record head
-  /// and memoizes the size (index.bloom_hits). Stores persisted before the
-  /// bloom record exists fall back to the eager scan transparently.
-  bool lazy_vocabulary = false;
 };
 
-/// Thread-safe for concurrent readers. Lock order: the source's cache latch
+/// Thread-safe for concurrent readers. The vocabulary map is written only
+/// by Open and read with no latch. Lock order: the source's cache latch
 /// is leaf-level on the hit path and is never held across a store fetch —
 /// a miss reads the store (B-tree latch, then pager latch) unlocked and
 /// re-acquires the cache latch only to insert, so cache latch and store
@@ -75,7 +54,8 @@ class StoreBackedIndexSource : public IndexSource {
  public:
   /// Boots a source over `store` (which must outlive it): loads metadata
   /// and scans the inverted-list keyspace for the vocabulary and per-list
-  /// posting counts, reading only each record's first bytes.
+  /// posting counts, reading only each record's first bytes. A record head
+  /// that does not decode fails the open.
   [[nodiscard]] static StatusOr<std::unique_ptr<StoreBackedIndexSource>> Open(
       const storage::KVStore* store, StoreIndexSourceOptions options = {});
 
@@ -118,33 +98,19 @@ class StoreBackedIndexSource : public IndexSource {
     MutexLock lock(&mu_);
     return cache_.find(std::string(keyword)) != cache_.end();
   }
-  /// Lists currently in the W-TinyLFU recency window (0 with no window).
-  size_t window_lists() const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return window_lru_.size();
-  }
 
  private:
   struct CacheEntry {
     std::shared_ptr<const FlatPostingList> list;
     size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
-    bool in_window = false;  // which LRU list lru_it points into
   };
 
   explicit StoreBackedIndexSource(const storage::KVStore* store,
                                   StoreIndexSourceOptions options)
       : store_(store),
         options_(options),
-        cooccurrence_(this, &types_),
-        lfu_(options.admission) {
-    if (options_.cache_admission && options_.cache_capacity_bytes != 0) {
-      double f = std::min(1.0, std::max(0.0, options_.window_fraction));
-      window_capacity_bytes_ =
-          static_cast<size_t>(f * static_cast<double>(
-                                      options_.cache_capacity_bytes));
-    }
-  }
+        cooccurrence_(this, &types_) {}
 
   /// The one fetch path; `record_access` separates real query fetches
   /// (which feed the admission sketch) from advisory Prefetch warming
@@ -152,24 +118,6 @@ class StoreBackedIndexSource : public IndexSource {
   StatusOr<PostingListHandle> FetchListImpl(std::string_view keyword,
                                             bool record_access) const
       EXCLUDES(mu_);
-
-  /// Posting count for `keyword` (0 = absent). Lazy mode consults the
-  /// bloom filter first and only descends to the record head — memoizing
-  /// the answer — on a "maybe"; eager mode reads the prebuilt map. Store
-  /// errors during a lazy probe degrade to "absent" (these calls have no
-  /// error channel; the caller's own FetchList surfaces the failure).
-  uint32_t LookupListSize(std::string_view keyword) const
-      EXCLUDES(vocab_mu_);
-
-  /// Lazy mode only: runs the full record-head scan once, on the first
-  /// caller that genuinely needs the whole vocabulary (ForEachKeyword).
-  void EnsureFullVocabulary() const EXCLUDES(vocab_mu_);
-
-  /// Squeezes the recency window down to its byte budget: each evictee
-  /// duels into the main segment (admitted when every main victim it would
-  /// displace is strictly colder), then the main segment is trimmed to its
-  /// own budget. No-op without a window.
-  void DemoteWindowOverflowLocked() const REQUIRES(mu_);
 
   const storage::KVStore* store_;  // not owned
   StoreIndexSourceOptions options_;
@@ -180,31 +128,16 @@ class StoreBackedIndexSource : public IndexSource {
   StatisticsTable stats_;
   mutable CooccurrenceTable cooccurrence_;
 
-  // Vocabulary. Eager open fills list_sizes_ completely and never mutates
-  // it again; lazy open leaves it empty and memoizes record-head probes
-  // into it, guarded by its own leaf latch (never held together with mu_
-  // or across a store read — the fetch-then-reacquire protocol mirrors the
-  // posting cache's).
-  bool lazy_ = false;  // lazy_vocabulary requested AND bloom record present
-  BloomFilter bloom_;
-  mutable Mutex vocab_mu_{kLockRankStoreSourceVocab,
-                          "StoreBackedIndexSource::vocab_mu_"};
-  mutable std::unordered_map<std::string, uint32_t> list_sizes_
-      GUARDED_BY(vocab_mu_);
-  mutable bool vocab_complete_ GUARDED_BY(vocab_mu_) = false;
+  // Vocabulary: keyword -> posting count, filled by Open from every record
+  // head and immutable afterwards, so it is read with no latch.
+  std::unordered_map<std::string, uint32_t> list_sizes_;
 
   // Bounded LRU over decoded lists. shared_ptr ownership lets eviction
   // proceed while queries still scan the evicted list through their pins.
   mutable Mutex mu_{kLockRankStoreSourceCache, "StoreBackedIndexSource::mu_"};
   mutable std::unordered_map<std::string, CacheEntry> cache_ GUARDED_BY(mu_);
   mutable std::list<std::string> lru_ GUARDED_BY(mu_);  // front = hottest
-  mutable size_t cache_bytes_ GUARDED_BY(mu_) = 0;  // window + main together
-  // W-TinyLFU recency window: a separate LRU whose entries bypass the
-  // admission duel on insert and only face it on demotion. Empty (and
-  // window_capacity_bytes_ == 0) unless options_.window_fraction > 0.
-  mutable std::list<std::string> window_lru_ GUARDED_BY(mu_);
-  mutable size_t window_bytes_ GUARDED_BY(mu_) = 0;
-  size_t window_capacity_bytes_ = 0;
+  mutable size_t cache_bytes_ GUARDED_BY(mu_) = 0;
   // Admission sketch; advises eviction decisions under the same latch as
   // the LRU it protects.
   mutable TinyLfu lfu_ GUARDED_BY(mu_);

@@ -236,7 +236,7 @@ TEST_F(ExpansionTest, StatisticsFallbackWithoutDocument) {
   ASSERT_TRUE(index::SaveCorpus(*corpus_, store->get()).ok());
   auto loaded = index::LoadCorpus(**store);
   ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ((*loaded)->document(), nullptr);
+  ASSERT_EQ((*loaded)->document_view(), nullptr);
 
   core::ExpansionOptions options;
   options.broad_threshold = 20;

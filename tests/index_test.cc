@@ -206,7 +206,7 @@ TEST(IndexStoreTest, SaveLoadRoundTripPreservesEverything) {
   }
 
   // The loaded corpus has no document attached.
-  EXPECT_EQ(loaded->document(), nullptr);
+  EXPECT_EQ(loaded->document_view(), nullptr);
 }
 
 TEST(IndexStoreTest, LoadFromEmptyStoreFails) {

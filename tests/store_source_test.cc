@@ -54,6 +54,17 @@ TEST(StoreSourceTest, OpenLoadsVocabularyWithoutLists) {
   // Nothing has been fetched yet: opening reads only record heads.
   EXPECT_EQ(source.cached_lists(), 0u);
   EXPECT_EQ(source.cached_bytes(), 0u);
+
+  // Every real keyword answers exactly as the in-memory index does.
+  for (const std::string& kw : corpus.index->index().Vocabulary()) {
+    EXPECT_TRUE(source.Contains(kw)) << kw;
+    EXPECT_EQ(source.ListSize(kw), corpus.index->index().ListSize(kw)) << kw;
+    auto handle_or = source.FetchList(kw);
+    ASSERT_TRUE(handle_or.ok()) << kw;
+    ASSERT_TRUE(handle_or.value()) << kw;
+    EXPECT_TRUE(*handle_or.value() == *corpus.index->index().Find(kw)) << kw;
+  }
+  EXPECT_EQ(source.ListSize("nonexistent"), 0u);
 }
 
 TEST(StoreSourceTest, FetchListMatchesInMemoryAndCaches) {
@@ -222,46 +233,48 @@ TEST(StoreSourceTest, DecodeRejectsHostilePostingCount) {
   EXPECT_TRUE(st.IsCorruption()) << st;
 }
 
-// A store whose "xml" list is `record` in place of the saved one.
-std::unique_ptr<storage::KVStore> StoreWithXmlRecord(
-    const IndexedCorpus& corpus, const std::string& record) {
+// A store whose `keyword` list is `record` in place of the saved one.
+std::unique_ptr<storage::KVStore> StoreWithRecord(const IndexedCorpus& corpus,
+                                                  std::string_view keyword,
+                                                  const std::string& record) {
   auto store = SavedStore(corpus);
-  EXPECT_TRUE(store->Put(InvertedListKey("xml"), record).ok());
+  EXPECT_TRUE(store->Put(InvertedListKey(keyword), record).ok());
   return store;
 }
 
 // A store holding a record in the retired v2 layout is a loud error on
-// every read path — never an empty list. The record is the committed
-// v2_flat fuzz seed.
+// every read path — never an empty list or an absent keyword. Two records:
+// the committed v2_flat fuzz seed as "xml", and the saved "database" record
+// with its version byte set to 2. "database" is reached only through rules
+// (from "databse"), so reading it as absent would still answer OK.
 TEST(StoreSourceTest, V2RecordFailsEveryReadPath) {
   auto corpus = MakeFigure1Corpus();
-  const std::string v2 = testutil::PostingCorpusRecord("v2_flat");
-  ASSERT_FALSE(v2.empty());
-  ASSERT_EQ(v2[0], 2);
-  auto store = StoreWithXmlRecord(*corpus.index, v2);
+  const std::string v2_flat = testutil::PostingCorpusRecord("v2_flat");
+  ASSERT_FALSE(v2_flat.empty());
+  ASSERT_EQ(v2_flat[0], 2);
+  const FlatPostingList* database = corpus.index->index().Find("database");
+  ASSERT_NE(database, nullptr);
+  std::string v2_database = EncodePostingsBlocked(*database);
+  v2_database[0] = 2;
   const std::string kWant = "postings: unsupported format version 2";
 
-  auto loaded_or = LoadCorpus(*store);
-  ASSERT_FALSE(loaded_or.ok());
-  EXPECT_TRUE(loaded_or.status().IsCorruption()) << loaded_or.status();
-  EXPECT_EQ(loaded_or.status().message(), kWant);
+  const std::pair<std::string, std::string> kCases[] = {
+      {"xml", v2_flat}, {"database", v2_database}};
+  for (const auto& [keyword, record] : kCases) {
+    SCOPED_TRACE(keyword);
+    auto store = StoreWithRecord(*corpus.index, keyword, record);
 
-  // The eager open sizes the vocabulary from every record head.
-  auto eager_or = StoreBackedIndexSource::Open(store.get());
-  ASSERT_FALSE(eager_or.ok());
-  EXPECT_TRUE(eager_or.status().IsCorruption()) << eager_or.status();
-  EXPECT_EQ(eager_or.status().message(), kWant);
+    auto loaded_or = LoadCorpus(*store);
+    ASSERT_FALSE(loaded_or.ok());
+    EXPECT_TRUE(loaded_or.status().IsCorruption()) << loaded_or.status();
+    EXPECT_EQ(loaded_or.status().message(), kWant);
 
-  // A lazy open reads no record; the fetch that decodes it fails.
-  StoreIndexSourceOptions lazy;
-  lazy.lazy_vocabulary = true;
-  auto lazy_or = StoreBackedIndexSource::Open(store.get(), lazy);
-  ASSERT_TRUE(lazy_or.ok()) << lazy_or.status();
-  auto handle_or = lazy_or.value()->FetchList("xml");
-  ASSERT_FALSE(handle_or.ok());
-  EXPECT_TRUE(handle_or.status().IsCorruption()) << handle_or.status();
-  EXPECT_EQ(handle_or.status().message(), kWant);
-  EXPECT_TRUE(lazy_or.value()->FetchList("skyline").ok());
+    // Open sizes the vocabulary from every record head.
+    auto source_or = StoreBackedIndexSource::Open(store.get());
+    ASSERT_FALSE(source_or.ok());
+    EXPECT_TRUE(source_or.status().IsCorruption()) << source_or.status();
+    EXPECT_EQ(source_or.status().message(), kWant);
+  }
 }
 
 // A Dewey component of 2^32-1 would wrap the scan loops' partition bound;
@@ -270,8 +283,8 @@ TEST(StoreSourceTest, V2RecordFailsEveryReadPath) {
 TEST(StoreSourceTest, MaxDeweyComponentFailsFetchAndLoad) {
   auto corpus = MakeFigure1Corpus();
   for (bool in_max_label : {false, true}) {
-    auto store = StoreWithXmlRecord(
-        *corpus.index, testutil::MaxComponentPostingRecord(in_max_label));
+    std::string record = testutil::MaxComponentPostingRecord(in_max_label);
+    auto store = StoreWithRecord(*corpus.index, "xml", record);
     auto source_or = StoreBackedIndexSource::Open(store.get());
     ASSERT_TRUE(source_or.ok()) << source_or.status();
     auto handle_or = source_or.value()->FetchList("xml");
@@ -315,8 +328,11 @@ TEST(StoreSourceTest, SavingSmallerCorpusClearsStaleKeywords) {
 
 // Hammers one store-backed source from many threads over overlapping and
 // disjoint keywords with a tiny cache (constant eviction) and a tiny buffer
-// pool (constant page re-reads). Functional assertions here; the real teeth
-// come from TSan (tools/check_build_matrix.sh runs this config).
+// pool (constant page re-reads), while the same threads probe the
+// vocabulary map (Contains/ListSize on present and absent keywords,
+// ForEachKeyword) and warm the cache through Prefetch. Functional
+// assertions here; the real teeth come from TSan
+// (tools/check_build_matrix.sh runs this config).
 TEST(StoreSourceTest, ConcurrentFetchesAreCoherent) {
   std::string path = ::testing::TempDir() + "/store_source_concurrent.db";
   std::remove(path.c_str());
@@ -336,10 +352,13 @@ TEST(StoreSourceTest, ConcurrentFetchesAreCoherent) {
   auto source_or = StoreBackedIndexSource::Open(store.get(), options);
   ASSERT_TRUE(source_or.ok());
   auto& source = *source_or.value();
+  const InvertedIndex& memory = corpus.index->index();
 
   std::vector<std::string> vocab = source.Vocabulary();
   ASSERT_GE(vocab.size(), 8u);
+  const std::string kAbsent = "nonexistent";
   std::atomic<int> failures{0};
+  auto fail = [&failures] { failures.fetch_add(1, std::memory_order_relaxed); };
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
@@ -348,16 +367,33 @@ TEST(StoreSourceTest, ConcurrentFetchesAreCoherent) {
         const std::string& kw =
             (i % 3 == 0) ? vocab[static_cast<size_t>(t) % vocab.size()]
                          : "xml";
+        if (i % 10 == 0) {
+          const std::string& next =
+              vocab[static_cast<size_t>(t + i) % vocab.size()];
+          source.Prefetch({kw, next, kAbsent});
+        }
+        if (!source.Contains(kw) || source.Contains(kAbsent) ||
+            source.ListSize(kw) != memory.ListSize(kw) ||
+            source.ListSize(kAbsent) != 0) {
+          fail();
+        }
+        if (i % 25 == 0) {
+          size_t seen = 0;
+          source.ForEachKeyword([&](std::string_view word) {
+            if (memory.Contains(word)) ++seen;
+          });
+          if (seen != vocab.size()) fail();
+        }
+        auto absent_or = source.FetchList(kAbsent);
+        if (!absent_or.ok() || absent_or.value()) fail();
         auto handle_or = source.FetchList(kw);
         if (!handle_or.ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
+          fail();
           continue;
         }
         PostingListHandle handle = std::move(handle_or).value();
-        const FlatPostingList* expected = corpus.index->index().Find(kw);
-        if (!handle || expected == nullptr || *handle != *expected) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
+        const FlatPostingList* expected = memory.Find(kw);
+        if (!handle || expected == nullptr || *handle != *expected) fail();
       }
     });
   }
@@ -482,184 +518,6 @@ TEST(StoreSourceTest, RepeatedRequestsEventuallyAdmitOverColderVictims) {
   EXPECT_GT(admitted.value(), admitted_before);
   // Only the coldest resident was displaced for it.
   EXPECT_TRUE(source.IsCachedForTesting("w003"));
-}
-
-// W-TinyLFU: the recency window fixes plain TinyLFU's burst blindness. A
-// first-touch key always loses the sketch duel against a warmed hot set
-// (frequency 1 vs 5), so a recency spike — new keys that will be re-read
-// within moments — thrashes against the sketch. With a window, new lists
-// enter a windowed-LRU stage without a duel and only pay the sketch on the
-// way OUT of the window, so the spike is resident for its re-reads.
-TEST(StoreSourceTest, RecencyWindowAdmitsFirstTouchBursts) {
-  auto corpus = MakeCorpus(UniformCorpusXml(40));
-  auto store = SavedStore(*corpus.index);
-  size_t list_bytes = MeasureListBytes(store.get());
-  ASSERT_GT(list_bytes, 0u);
-
-  const std::vector<std::string> hot = {"w000", "w001", "w002", "w003"};
-  StoreIndexSourceOptions options;
-  options.cache_capacity_bytes = hot.size() * list_bytes;
-
-  auto warm = [&](StoreBackedIndexSource& source) {
-    for (int round = 0; round < 5; ++round) {
-      for (const std::string& kw : hot) {
-        ASSERT_TRUE(source.FetchList(kw).ok());
-      }
-    }
-  };
-
-  {
-    // Baseline (window off): the burst key is served but not retained.
-    auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-    ASSERT_TRUE(source_or.ok());
-    auto& source = *source_or.value();
-    EXPECT_EQ(source.window_lists(), 0u);
-    warm(source);
-    ASSERT_TRUE(source.FetchList("w010").ok());
-    EXPECT_FALSE(source.IsCachedForTesting("w010"));
-  }
-
-  {
-    // Same trace with a one-list recency window: the burst key is resident
-    // from its first touch, and its second touch is a cache hit.
-    options.window_fraction = 0.25;
-    auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-    ASSERT_TRUE(source_or.ok());
-    auto& source = *source_or.value();
-    warm(source);
-    for (const std::string& kw : hot) {
-      EXPECT_TRUE(source.IsCachedForTesting(kw)) << kw;
-    }
-
-    auto& fetches = *metrics::Registry::Global().counter("index.list_fetches");
-    ASSERT_TRUE(source.FetchList("w010").ok());
-    EXPECT_TRUE(source.IsCachedForTesting("w010"));
-    EXPECT_GE(source.window_lists(), 1u);
-    uint64_t fetches_after_first = fetches.value();
-    auto handle_or = source.FetchList("w010");
-    ASSERT_TRUE(handle_or.ok());
-    EXPECT_TRUE(*handle_or.value() ==
-              *corpus.index->index().Find("w010"));
-    // Served from the window, not re-decoded from the store.
-    EXPECT_EQ(fetches.value(), fetches_after_first);
-    // The byte budget still holds: window + main together never exceed it.
-    EXPECT_LE(source.cached_bytes(), options.cache_capacity_bytes);
-  }
-}
-
-// --- lazy vocabulary (persisted Bloom filter) -------------------------------
-
-TEST(StoreSourceTest, LazyVocabularyMatchesEagerAnswers) {
-  auto corpus = MakeFigure1Corpus();
-  auto store = SavedStore(*corpus.index);
-  StoreIndexSourceOptions options;
-  options.lazy_vocabulary = true;
-  auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-  ASSERT_TRUE(source_or.ok()) << source_or.status();
-  auto& source = *source_or.value();
-
-  // keyword_count is exact straight from the persisted record.
-  EXPECT_EQ(source.keyword_count(), corpus.index->index().keyword_count());
-
-  // Every real keyword answers exactly as the in-memory index does.
-  for (const std::string& kw : corpus.index->index().Vocabulary()) {
-    EXPECT_TRUE(source.Contains(kw)) << kw;
-    EXPECT_EQ(source.ListSize(kw), corpus.index->index().ListSize(kw)) << kw;
-    auto handle_or = source.FetchList(kw);
-    ASSERT_TRUE(handle_or.ok()) << kw;
-    ASSERT_TRUE(handle_or.value()) << kw;
-    EXPECT_TRUE(*handle_or.value() ==
-              *corpus.index->index().Find(kw))
-        << kw;
-  }
-
-  // Absent keywords answer absent (possibly via a false-positive descent).
-  EXPECT_FALSE(source.Contains("definitely-not-a-keyword"));
-  EXPECT_EQ(source.ListSize("definitely-not-a-keyword"), 0u);
-  auto absent_or = source.FetchList("definitely-not-a-keyword");
-  ASSERT_TRUE(absent_or.ok());
-  EXPECT_FALSE(absent_or.value());
-
-  // Full enumeration still works (pays the head scan once, lazily).
-  EXPECT_EQ(source.Vocabulary(), corpus.index->index().Vocabulary());
-}
-
-TEST(StoreSourceTest, LazyVocabularyBloomSkipsNegativeProbes) {
-  auto corpus = MakeFigure1Corpus();
-  auto store = SavedStore(*corpus.index);
-  StoreIndexSourceOptions options;
-  options.lazy_vocabulary = true;
-  auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-  ASSERT_TRUE(source_or.ok());
-  auto& source = *source_or.value();
-
-  auto& skips = *metrics::Registry::Global().counter("index.bloom_skips");
-  auto& hits = *metrics::Registry::Global().counter("index.bloom_hits");
-  uint64_t skips_before = skips.value();
-  uint64_t hits_before = hits.value();
-
-  // A flood of misses (the spelling corrector's probe shape): nearly all
-  // are skipped by the bloom filter without touching the tree. A ~1% false
-  // positive rate makes 0 hits overwhelmingly likely across 64 probes, but
-  // tolerate a few.
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_FALSE(source.Contains("zqx-missing-" + std::to_string(i)));
-  }
-  EXPECT_GE(skips.value() - skips_before, 60u);
-
-  // Present keywords descend (counted as hits) and then memoize: the
-  // second probe answers from the memo without another descent.
-  uint64_t hits_mid = hits.value();
-  EXPECT_TRUE(source.Contains("xml"));
-  EXPECT_GT(hits.value(), hits_mid);
-  uint64_t hits_after_first = hits.value();
-  EXPECT_TRUE(source.Contains("xml"));
-  EXPECT_EQ(source.ListSize("xml"), corpus.index->index().ListSize("xml"));
-  EXPECT_EQ(hits.value(), hits_after_first);
-  (void)hits_before;
-}
-
-TEST(StoreSourceTest, LazyVocabularyFallsBackWithoutBloomRecord) {
-  auto corpus = MakeFigure1Corpus();
-  auto store = SavedStore(*corpus.index);
-  // Simulate a store persisted before the bloom record existed.
-  ASSERT_TRUE(store->Delete(BloomMetaKey()).ok());
-  StoreIndexSourceOptions options;
-  options.lazy_vocabulary = true;
-  auto source_or = StoreBackedIndexSource::Open(store.get(), options);
-  ASSERT_TRUE(source_or.ok()) << source_or.status();
-  auto& source = *source_or.value();
-
-  // Eager fallback: full vocabulary resolved at open.
-  EXPECT_EQ(source.keyword_count(), corpus.index->index().keyword_count());
-  EXPECT_TRUE(source.Contains("xml"));
-  EXPECT_FALSE(source.Contains("nonexistent"));
-  EXPECT_EQ(source.Vocabulary(), corpus.index->index().Vocabulary());
-}
-
-TEST(StoreSourceTest, LazyVocabularyServesQueriesIdentically) {
-  auto corpus = MakeFigure1Corpus();
-  auto store = SavedStore(*corpus.index);
-  StoreIndexSourceOptions lazy_options;
-  lazy_options.lazy_vocabulary = true;
-  auto lazy_or = StoreBackedIndexSource::Open(store.get(), lazy_options);
-  ASSERT_TRUE(lazy_or.ok());
-  auto eager_or = StoreBackedIndexSource::Open(store.get());
-  ASSERT_TRUE(eager_or.ok());
-
-  core::Query q = {"xml", "database"};
-  auto lazy_results = slca::ComputeSlcaForQuery(
-      q, *lazy_or.value(), lazy_or.value()->types(),
-      slca::SlcaAlgorithm::kScanEager);
-  auto eager_results = slca::ComputeSlcaForQuery(
-      q, *eager_or.value(), eager_or.value()->types(),
-      slca::SlcaAlgorithm::kScanEager);
-  ASSERT_TRUE(lazy_results.ok());
-  ASSERT_TRUE(eager_results.ok());
-  ASSERT_EQ(lazy_results.value().size(), eager_results.value().size());
-  for (size_t i = 0; i < lazy_results.value().size(); ++i) {
-    EXPECT_EQ(lazy_results.value()[i].dewey, eager_results.value()[i].dewey);
-  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // The input bytes ARE the page file: KVStore::Open, the metadata decoders
 // (node types, statistics, co-occurrence cache), LoadCorpus over every
 // stored posting record, and StoreBackedIndexSource::Open with its
-// header-only vocabulary scan and lazy FetchList — every layer must either
+// header-only vocabulary scan, then FetchList — every layer must either
 // reject the image with a clean Status or serve it without crashing. This
 // is the closest harness to "an attacker hands the engine a database file".
 #include <unistd.h>
@@ -74,8 +74,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Full eager load: decodes every posting record in the file.
   (void)index::LoadCorpus(*store);
 
-  // Lazy source: header-only vocabulary scan on open, then a bounded set
-  // of real fetches so the record bodies get decoded through the cache.
+  // Store-backed source: header-only vocabulary scan on open, then a
+  // bounded set of real fetches so the record bodies get decoded through
+  // the cache.
   index::StoreIndexSourceOptions source_options;
   source_options.cache_capacity_bytes = 1 << 16;
   auto source_or =
